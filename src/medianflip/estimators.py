@@ -1,7 +1,9 @@
 """Huber M-estimation and the sigmoid threshold objective.
 
-The Huber M-estimate of a vector x solves min_y sum_i H_c(x_i - y). The
-tuning constant c interpolates between the median (c -> 0) and the mean
+The Huber M-estimate of a vector x solves min_y sum_i H_c(x_i - y),
+exactly: its stationarity condition is piecewise linear in y, so sorting
+the kinks x_i +- c gives the root (see huber_m_estimate). The tuning
+constant c interpolates between the median (c -> 0) and the mean
 (c -> inf); find_c picks a c whose estimate tracks the median under small
 random perturbations of the instance. The sigmoid objective is a smooth
 count of nodes above a threshold theta.
@@ -14,26 +16,20 @@ import numpy as np
 from scipy.special import expit
 
 from .equilibrium import SolverError, equilibrium
-from .stats import median
+from .stats import _clip_sum_root, median
 
 log = logging.getLogger(__name__)
-
-GOLDEN = (np.sqrt(5) - 1) / 2
 
 
 @dataclass(frozen=True)
 class HuberConfig:
-    """Tuning constant and 1-D search controls for the M-estimator."""
+    """Tuning constant c of the M-estimator, which is solved in closed form."""
 
     c: float
-    inner_tol: float = 1e-10
-    max_inner_iters: int = 200
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if self.inner_tol <= 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
 
 @dataclass(frozen=True)
@@ -58,44 +54,26 @@ def huber_loss(x, c):
     return c * (x - 0.5 * c)
 
 
-def _huber_total(x, y, c):
-    r = np.abs(x - y)
-    quad = r <= c
-    return float(0.5 * np.sum(r[quad] ** 2) + c * np.sum(r[~quad] - 0.5 * c))
-
-
 def huber_m_estimate(x, config):
-    """Minimize sum_i H_c(x_i - y) over y by golden-section search.
+    """Minimize sum_i H_c(x_i - y) over y exactly.
 
-    The objective is convex in y with its minimizer inside
-    [min(x), max(x)], so the bracketing search is exact.
+    The minimizers are the roots of the psi-sum sum_i clip(x_i - y, -c, c),
+    which equals sum_i clip(x_i + c - y, 0, 2c) - n c: a piecewise-linear
+    equation in y solved exactly by sorting its kinks x_i +- c. The root
+    is unique unless n is even and the two middle values lie more than 2c
+    apart; then half the residuals sit at -c and half at +c everywhere on
+    the flat segment between them, every point there minimizes, and the
+    segment's midpoint, the mean of the two middle values, is returned.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("huber_m_estimate of empty vector")
-    lo, hi = float(x.min()), float(x.max())
-    if hi - lo <= config.inner_tol:
-        return 0.5 * (lo + hi)
-    c = config.c
-    a, b = lo, hi
-    m1 = b - GOLDEN * (b - a)
-    m2 = a + GOLDEN * (b - a)
-    f1, f2 = _huber_total(x, m1, c), _huber_total(x, m2, c)
-    for _ in range(config.max_inner_iters):
-        if b - a <= config.inner_tol:
-            return 0.5 * (a + b)
-        if f1 <= f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - GOLDEN * (b - a)
-            f1 = _huber_total(x, m1, c)
-        else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + GOLDEN * (b - a)
-            f2 = _huber_total(x, m2, c)
-    raise RuntimeError(
-        f"1-D Huber search failed to reach tol {config.inner_tol} "
-        f"in {config.max_inner_iters} iterations (interval {b - a:.3e})"
-    )
+    c, n = config.c, x.size
+    if n % 2 == 0:
+        lo, hi = np.sort(x)[n // 2 - 1:n // 2 + 1]
+        if hi - lo > 2 * c:
+            return float(0.5 * (lo + hi))
+    return _clip_sum_root(x + c, np.full(n, 2 * c), n * c)
 
 
 def default_c_grid():

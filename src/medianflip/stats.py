@@ -4,6 +4,9 @@ The median follows the upper-median convention: the element at 0-indexed
 position floor(n/2) of the ascending sort. For even n this is the larger
 of the two central values, which is the convention under which an exact
 half/half split of positive and zero opinions yields a positive median.
+
+_clip_sum_root solves the sorted-breakpoint equation behind both the
+Huber M-estimate and the l1-box projection.
 """
 
 import numpy as np
@@ -37,3 +40,23 @@ def mean(x):
     if x.size == 0:
         raise ValueError("mean of empty vector")
     return float(x.mean())
+
+
+def _clip_sum_root(h, w, target):
+    """Solve G(t) = sum_i clip(h_i - t, 0, w_i) = target for t, with w >= 0.
+
+    G(t) = sum_i max(h_i - t, 0) - max(h_i - w_i - t, 0) is continuous,
+    nonincreasing and linear between its kinks h_i (sign +1) and h_i - w_i
+    (sign -1). With the kinks sorted downward, G = C - S t below each kink,
+    where C and S are running sums of the signed kinks and of the signs,
+    so one sort gives G at every kink, and interpolating between kinks is
+    exact. A target outside (0, sum w) clamps to the outermost kink; on a
+    flat segment at the target level any point of it may be returned.
+    """
+    kinks = np.concatenate([h, h - w])
+    order = np.argsort(-kinks)
+    t = kinks[order]
+    sign = np.where(order < len(h), 1.0, -1.0)
+    g = np.cumsum(sign * t) - np.cumsum(sign) * t
+    # G rises as t falls; rounding must not make the interpolation table dip
+    return float(np.interp(target, np.maximum.accumulate(g), t))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from medianflip.projection import project_l1_ball, project_l1_box
+from medianflip.projection import project_l1_box
 
 from helpers import check_variational_inequality, grid_projection_oracle
 
@@ -33,17 +34,28 @@ def test_negative_budget_rejected():
 def test_ball_projection_reaches_radius():
     center = np.full(4, 0.5)
     v = np.array([1.5, 0.5, 0.5, 0.5])
-    out = project_l1_ball(v, center, k=0.3)
+    out = project_l1_box(v, center, k=0.3)
     assert np.abs(out - center).sum() == pytest.approx(0.3, abs=1e-12)
     assert out[0] == pytest.approx(0.8, abs=1e-9)
 
 
-def test_matches_grid_oracle_on_3d_problems():
+def _3d_problems():
     rng = np.random.default_rng(21)
     for _ in range(10):
         a0 = rng.uniform(0.05, 0.95, 3)
         a = rng.uniform(-0.1, 1.1, 3)
         k = float(rng.uniform(0.1, 1.2))
+        yield a0, a, k
+    # v far outside the box: the projection spends all of k = 0.369, while
+    # stopping on small iterate drift halts early, having spent 0.341
+    rng = np.random.default_rng(1261)
+    a0 = rng.uniform(0.05, 0.95, 3)
+    a = a0 + rng.normal(0, 1.0, 3)
+    yield a0, a, float(rng.uniform(0.1, 1.5))
+
+
+def test_matches_grid_oracle_on_3d_problems():
+    for a0, a, k in _3d_problems():
         proj = project_l1_box(a, a0, k)
         best, f_best, coarse, fine = grid_projection_oracle(
             a, a0, k, pitches=(0.05, 0.01, 0.002)
@@ -81,3 +93,33 @@ def test_projection_shrinks_distance_to_feasible_points():
         proj = project_l1_box(a, a0, k)
         z = project_l1_box(rng.uniform(0, 1, 5), a0, k)  # arbitrary feasible point
         assert np.linalg.norm(proj - z) <= np.linalg.norm(a - z) + 1e-9
+
+
+def _max_first_order_gap(proj, v, a0, k):
+    """max <v - proj, z - proj> over feasible z, by a linear program.
+
+    z = a0 + dp - dm with 0 <= dp <= 1 - a0, 0 <= dm <= a0 and
+    sum(dp + dm) <= k; proj is the projection of v iff the max is <= 0.
+    """
+    g = v - proj
+    n = len(v)
+    res = linprog(
+        np.concatenate([-g, g]),
+        A_ub=np.ones((1, 2 * n)),
+        b_ub=[k],
+        bounds=list(zip(np.zeros(2 * n), np.concatenate([1.0 - a0, a0]))),
+        method="highs",
+    )
+    assert res.status == 0
+    return float(-res.fun + g @ (a0 - proj))
+
+
+def test_first_order_optimality_high_dimensional():
+    rng = np.random.default_rng(24)
+    for sigma in (0.05, 5.0):
+        for _ in range(50):
+            a0 = rng.uniform(0, 1, 50)
+            v = a0 + rng.normal(0, sigma, 50)
+            k = float(rng.uniform(0.1, 5.0))
+            proj = project_l1_box(v, a0, k)
+            assert _max_first_order_gap(proj, v, a0, k) <= 1e-9
