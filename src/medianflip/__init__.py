@@ -2,7 +2,13 @@
 
 from .network import Instance, Network, NetworkError, build_network
 from .stats import mean, median, quantile
-from .equilibrium import EquilibriumSolution, SolverError, equilibrium, simulate
+from .equilibrium import (
+    EquilibriumOperator,
+    EquilibriumSolution,
+    SolverError,
+    equilibrium,
+    simulate,
+)
 from .estimators import (
     HuberConfig,
     SigmoidConfig,
@@ -73,6 +79,7 @@ __all__ = [
     "mean",
     "median",
     "quantile",
+    "EquilibriumOperator",
     "EquilibriumSolution",
     "SolverError",
     "equilibrium",

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .equilibrium import SolverError, equilibrium
 from .stats import _clip_sum_root, median
@@ -130,7 +129,12 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None,
     return float(candidates[int(np.argmin(errors / used))])
 
 
+def sigmoid(z):
+    """1 / (1 + exp(-z)), written through tanh so no exp can overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
+
+
 def sigmoid_objective(x, config):
     """Smooth headcount: sum_u 1 / (1 + exp(tau * (theta - x_u)))."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(expit(config.tau * (x - config.theta))))
+    return float(np.sum(sigmoid(config.tau * (x - config.theta))))

@@ -2,18 +2,17 @@
 
 Differentiating X x* = A s with X = I - (I - A) W gives the Jacobian
 J = dx*/dalpha = X^{-1} Diag(s - W x*). All gradients are pulled back
-through J^T v = Diag(s - W x*) X^{-T} v, one transposed least-squares
-solve per gradient; the full Jacobian is never materialized.
+through J^T v = Diag(s - W x*) X^{-T} v, one adjoint solve per gradient
+on the operator that already gave x*, so an ascent step factors X once;
+the full Jacobian is never materialized.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import lsqr
-from scipy.special import expit
 
-from .equilibrium import DEFAULT_TOL, equilibrium, influence_system
-from .estimators import huber_m_estimate
+from .equilibrium import DEFAULT_TOL, EquilibriumOperator, equilibrium
+from .estimators import huber_m_estimate, sigmoid
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,22 @@ class SigmoidGradient:
 
 
 def equilibrium_jacobian_action(instance, v, alpha=None, x_star=None,
-                                tol=DEFAULT_TOL):
-    """(dx*/dalpha)^T v = Diag(s - W x*) z where X^T z = v."""
-    if alpha is None:
-        alpha = instance.alpha
+                                tol=DEFAULT_TOL, operator=None):
+    """(dx*/dalpha)^T v = Diag(s - W x*) z where X^T z = v.
+
+    `operator` is the EquilibriumOperator of (instance, alpha), as found
+    on the EquilibriumSolution that gave x_star; without it X is
+    factored again.
+    """
     if x_star is None:
-        x_star = equilibrium(instance, alpha=alpha, tol=tol).x_star
+        sol = equilibrium(instance, alpha=alpha, tol=tol)
+        x_star, operator = sol.x_star, sol.operator
     v = np.asarray(v, dtype=float)
     if not v.any():
         return np.zeros_like(v)
-    X, _ = influence_system(instance, alpha)
-    n = instance.node_count
-    z = lsqr(X.T, v, atol=tol, btol=tol, iter_lim=10 * n)[0]
+    if operator is None:
+        operator = EquilibriumOperator(instance, alpha)
+    z = operator.solve_T(v, tol)
     W = instance.network.influence_matrix
     return (instance.s - W @ x_star) * z
 
@@ -61,10 +64,10 @@ def huber_gradient(instance, config, alpha=None, x_star=None):
     least c) is handled by doubling the radius until I is nonempty, with
     the number of doublings reported.
     """
-    if alpha is None:
-        alpha = instance.alpha
+    operator = None
     if x_star is None:
-        x_star = equilibrium(instance, alpha=alpha).x_star
+        sol = equilibrium(instance, alpha=alpha)
+        x_star, operator = sol.x_star, sol.operator
     y_hat = huber_m_estimate(x_star, config)
     radius = config.c
     expansions = 0
@@ -74,8 +77,8 @@ def huber_gradient(instance, config, alpha=None, x_star=None):
         expansions += 1
         members = np.abs(x_star - y_hat) < radius
     grad = equilibrium_jacobian_action(
-        instance, members.astype(float), alpha=alpha, x_star=x_star
-    ) / members.sum()
+        instance, members.astype(float), alpha=alpha, x_star=x_star,
+        operator=operator) / members.sum()
     return HuberGradient(grad, y_hat, x_star, members, expansions)
 
 
@@ -85,11 +88,12 @@ def sigmoid_gradient(instance, config, alpha=None, x_star=None):
     The pullback weight for node u is the sigmoid derivative
     tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
     """
-    if alpha is None:
-        alpha = instance.alpha
+    operator = None
     if x_star is None:
-        x_star = equilibrium(instance, alpha=alpha).x_star
-    sig = expit(config.tau * (x_star - config.theta))
+        sol = equilibrium(instance, alpha=alpha)
+        x_star, operator = sol.x_star, sol.operator
+    sig = sigmoid(config.tau * (x_star - config.theta))
     weights = config.tau * sig * (1.0 - sig)
-    grad = equilibrium_jacobian_action(instance, weights, alpha=alpha, x_star=x_star)
+    grad = equilibrium_jacobian_action(instance, weights, alpha=alpha,
+                                       x_star=x_star, operator=operator)
     return SigmoidGradient(grad, float(sig.sum()), x_star)

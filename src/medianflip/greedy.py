@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import equilibrium
+from .equilibrium import SolverError, equilibrium
 from .optimize import InterventionResult
 from .stats import median
 
@@ -74,7 +74,10 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
     phi = 0 disables the abort and reproduces exhaustive greedy. Ties are
     broken toward the smaller node id, then toward r = 1. Selection stops
     early when no candidate has positive gain or the median already
-    exceeds theta.
+    exceeds theta. A candidate whose pin makes X singular (it leaves a
+    closed class with alpha = 0 on every node, so no equilibrium exists)
+    is skipped: its stored gain becomes -inf, it is not counted as an
+    evaluation, and it is never committed.
     """
     if not 0 <= phi <= 1:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
@@ -95,7 +98,11 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
         for u, r in order:
             if phi != 0 and best is not None and phi * best[0] >= stored[(u, r)]:
                 break
-            x = equilibrium(instance, alpha=_stooge_alpha(alpha, u, r)).x_star
+            try:
+                x = equilibrium(instance, alpha=_stooge_alpha(alpha, u, r)).x_star
+            except SolverError:
+                stored[(u, r)] = -np.inf
+                continue
             g = gain.value(x) - current
             stored[(u, r)] = g
             evals += 1

@@ -1,7 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network, equilibrium, simulate
+from medianflip import (GeneratorSpec, Instance, SolverError, build_network,
+                        equilibrium, generate, simulate)
+from medianflip.equilibrium import DENSE_MAX_NODES
 
 
 def two_node_instance():
@@ -99,3 +103,84 @@ def test_equilibrium_accepts_alpha_override():
     inst = two_node_instance()
     sol = equilibrium(inst, alpha=np.array([1.0, 1.0]))
     assert np.allclose(sol.x_star, inst.s, atol=1e-12)
+
+
+def test_singular_closed_class_raises():
+    # X is singular: the whole path is one closed class with alpha = 0,
+    # so every constant vector solves X x = 0 and no equilibrium exists
+    net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    inst = Instance(net, np.zeros(3), [0.9, 0.8, 0.1])
+    with pytest.raises(SolverError, match=r"\[0, 1, 2\]"):
+        equilibrium(inst)
+    assert not simulate(inst, max_rounds=1000).converged
+
+
+def test_singular_check_names_the_nodes_without_a_resisting_node():
+    # {0, 1} and {2, 3} are closed; node 4 listens to both, node 5 only
+    # to {2, 3}
+    edges = [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0),
+             (4, 0, 1.0), (4, 2, 1.0), (5, 2, 1.0)]
+    net = build_network(6, edges, directed=True)
+    s = np.full(6, 0.5)
+    with pytest.raises(SolverError, match=r"\[2, 3, 5\]"):
+        equilibrium(Instance(net, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0], s))
+    # one resisting node per closed class suffices; nodes 4 and 5 may be 0
+    inst = Instance(net, [0.0, 0.3, 0.0, 0.7, 0.0, 0.0], s)
+    sol = equilibrium(inst)
+    assert np.allclose(sol.x_star, simulate(inst, tol=1e-13).x_star,
+                       atol=1e-9)
+
+
+def test_singular_check_skips_degree_zero_nodes_and_keeps_self_loops():
+    silent = Instance(build_network(2, []), [0.0, 0.0], [0.2, 0.4])
+    assert equilibrium(silent).x_star.tolist() == [0.0, 0.0]
+    loop = build_network(2, [(0, 0, 1.0), (1, 0, 1.0)], directed=True,
+                         allow_self_loops=True)
+    with pytest.raises(SolverError, match=r"\[0, 1\]"):
+        equilibrium(Instance(loop, [0.0, 0.0], [0.2, 0.4]))
+    with pytest.raises(SolverError, match=r"\[0\]"):
+        equilibrium(Instance(loop, [0.0, 0.5], [0.2, 0.4]))
+    resisting = Instance(loop, [0.1, 0.0], [0.2, 0.4])
+    assert equilibrium(resisting).x_star == pytest.approx([0.2, 0.2])
+
+
+def _ba_instance(n, seed):
+    return generate(GeneratorSpec("ba", dist="normal", seed=seed,
+                                  params={"n": n}))
+
+
+@pytest.mark.parametrize("n", [60, DENSE_MAX_NODES, DENSE_MAX_NODES + 40])
+def test_operator_matches_simulation_on_both_sides_of_cutoff(n):
+    inst = _ba_instance(n, seed=n)
+    sol = equilibrium(inst)
+    dense = n <= DENSE_MAX_NODES
+    assert (sol.iterations == 0) == dense
+    sim = simulate(inst, tol=1e-13)
+    assert sim.converged
+    assert np.max(np.abs(sol.x_star - sim.x_star)) <= 1e-8
+    assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("n", [60, DENSE_MAX_NODES + 40])
+def test_adjoint_solve_is_the_transpose_of_the_forward_solve(n):
+    inst = _ba_instance(n, seed=n + 1)
+    op = equilibrium(inst).operator
+    rng = np.random.default_rng(n)
+    b, v = rng.normal(size=n), rng.normal(size=n)
+    # <v, X^-1 b> = <X^-T v, b>
+    assert v @ op.solve(b) == pytest.approx(op.solve_T(v) @ b, rel=1e-8)
+    # each entry of X^-T v is the derivative of <v, X^-1 b> in b_i
+    h = 1e-3
+    for i in rng.choice(n, 3, replace=False):
+        e = np.zeros(n)
+        e[i] = h
+        fd = (v @ op.solve(b + e) - v @ op.solve(b - e)) / (2 * h)
+        assert fd == pytest.approx(op.solve_T(v)[i], rel=1e-6, abs=1e-9)
+
+
+def test_dense_solve_rejects_non_finite_result(monkeypatch):
+    module = importlib.import_module("medianflip.equilibrium")
+    monkeypatch.setattr(module, "lu_solve",
+                        lambda lu, b, **kw: np.full_like(b, np.nan))
+    with pytest.raises(SolverError, match="residual"):
+        equilibrium(two_node_instance())

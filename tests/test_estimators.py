@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from medianflip.estimators import (
     find_c,
     huber_loss,
     huber_m_estimate,
+    sigmoid,
     sigmoid_objective,
 )
+from medianflip.gradients import sigmoid_gradient
 
 
 def test_huber_loss_values():
@@ -165,3 +169,22 @@ def test_sigmoid_objective_monotone_and_bounded():
         raised = x.copy()
         raised[j] += 0.05
         assert sigmoid_objective(raised, cfg) > val
+
+
+def test_sigmoid_emits_no_overflow_warning_far_from_threshold():
+    # tau * |x - theta| reaches 1e3 on both sides; 1 / (1 + exp(-z))
+    # would overflow in exp there
+    cfg = SigmoidConfig(theta=0.5, tau=2000.0)
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    net = build_network(5, [(u, u + 1, 1.0) for u in range(4)])
+    inst = Instance(net, np.ones(5), x)  # alpha = 1 keeps x* = s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = sigmoid_objective(x, cfg)
+        res = sigmoid_gradient(inst, cfg)
+    assert value == pytest.approx(2.5, abs=1e-12)
+    assert np.all(np.isfinite(res.gradient))
+    assert res.gradient[[0, 4]].tolist() == [0.0, 0.0]
+    z = np.linspace(-30, 30, 61)
+    assert np.allclose(sigmoid(z), 1 / (1 + np.exp(-z)), rtol=1e-14,
+                       atol=1e-15)

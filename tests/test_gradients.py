@@ -1,8 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network
-from medianflip.equilibrium import equilibrium
+from medianflip import GeneratorSpec, Instance, build_network, generate, simulate
+from medianflip.equilibrium import DENSE_MAX_NODES, equilibrium
 from medianflip.estimators import HuberConfig, SigmoidConfig, huber_m_estimate
 from medianflip.gradients import (
     equilibrium_jacobian_action,
@@ -124,3 +126,40 @@ def test_gradients_reuse_supplied_equilibrium():
     a = huber_gradient(inst, HuberConfig(0.2), x_star=x)
     b = huber_gradient(inst, HuberConfig(0.2))
     assert np.allclose(a.gradient, b.gradient, atol=1e-12)
+
+
+def test_action_on_lsqr_side_matches_simulated_differences():
+    # above DENSE_MAX_NODES the adjoint is an LSQR solve; check it against
+    # central differences of the fixed-point iteration, not of a solver
+    inst = generate(GeneratorSpec("ba", dist="normal", seed=3,
+                                  params={"n": DENSE_MAX_NODES + 40}))
+    n = inst.node_count
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=n)
+    sol = equilibrium(inst)
+    assert sol.iterations > 0
+    analytic = equilibrium_jacobian_action(inst, v, x_star=sol.x_star,
+                                           operator=sol.operator)
+    h = 1e-5
+    for u in rng.choice(n, 4, replace=False):
+        up, dn = inst.alpha.copy(), inst.alpha.copy()
+        up[u] += h
+        dn[u] -= h
+        fd = (v @ simulate(inst, alpha=up, tol=1e-14).x_star
+              - v @ simulate(inst, alpha=dn, tol=1e-14).x_star) / (2 * h)
+        assert analytic[u] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_gradient_reuses_the_forward_factor(monkeypatch):
+    module = importlib.import_module("medianflip.gradients")
+    built = []
+    original = module.EquilibriumOperator
+    monkeypatch.setattr(module, "EquilibriumOperator",
+                        lambda *a: built.append(1) or original(*a))
+    inst = random_connected_instance(np.random.default_rng(38), 12)
+    huber_gradient(inst, HuberConfig(0.2))
+    sigmoid_gradient(inst, SigmoidConfig())
+    assert built == []
+    x = equilibrium(inst).x_star
+    huber_gradient(inst, HuberConfig(0.2), x_star=x)  # no operator to reuse
+    assert built == [1]

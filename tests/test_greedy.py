@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network
+from medianflip import Instance, SolverError, build_network, simulate
 from medianflip.equilibrium import equilibrium
 from medianflip.greedy import (
     GainFunction,
@@ -228,3 +228,28 @@ def test_min_budget_unflippable_component():
         return lazy_greedy(instance, k)
 
     assert min_budget_to_flip(inst, runner, max_budget=8) is None
+
+
+def test_greedy_skips_candidates_that_make_the_system_singular():
+    # {0, 1} is a closed class in which only node 1 resists, so pinning
+    # node 1 to 0 leaves no equilibrium; nodes 2-4 listen to the class
+    edges = [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 1, 1.0), (4, 0, 1.0),
+             (4, 3, 1.0)]
+    net = build_network(5, edges, directed=True)
+    inst = Instance(net, [0.0, 0.5, 0.5, 0.5, 0.5],
+                    [0.9, 0.3, 0.2, 0.4, 0.1])
+    with pytest.raises(SolverError):
+        equilibrium(inst, alpha=np.array([0.0, 0.0, 0.5, 0.5, 0.5]))
+    for phi in (0.0, 0.8):
+        res = lazy_greedy(inst, k=5, phi=phi, theta=0.95)
+        assert res.evals_per_iter[0] == 2 * 5 - 1  # (1, 0) skipped
+        assert list(res.stooges.items())[0] != (1, 0.0)
+        # every committed prefix has an equilibrium: once node 0 is
+        # pinned to 1, pinning node 1 to 0 is allowed
+        alpha = inst.alpha.copy()
+        for u, r in res.stooges.items():
+            alpha[u] = r
+            equilibrium(inst, alpha=alpha)
+        sim = simulate(inst, alpha=res.alpha_final, tol=1e-13)
+        assert res.final_median == pytest.approx(median(sim.x_star),
+                                                 abs=1e-9)
