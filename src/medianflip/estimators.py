@@ -19,6 +19,13 @@ from .stats import _clip_sum_root, median
 
 log = logging.getLogger(__name__)
 
+# find_c counts trial-average errors within this relative distance of the
+# smallest as tied. On a 10x10 grid the errors of six small c agreed to
+# 2e-13 relative, so the solve's rounding alone ordered them, while the
+# next candidate lay 2.5e-3 away. LSQR solves (n > 200) are accurate to
+# about 1e-10, so 1e-9 sits above solver noise and far below such gaps.
+TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class HuberConfig:
@@ -88,7 +95,8 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None,
     (sign chosen at random; uniform=True draws from [-eps, eps] instead),
     clamps to [0, 1], solves the equilibrium, and scores each candidate c
     by |y_hat_c - median(x*)|. Returns the candidate with the smallest
-    trial-average error, ties broken toward the smaller c. Trials whose
+    trial-average error, ties broken toward the smaller c; errors within
+    TIE_RTOL relative of the smallest count as tied. Trials whose
     equilibrium solve fails are skipped; all failing is an error.
     """
     if epsilon <= 0:
@@ -126,7 +134,9 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None,
         used += 1
     if used == 0:
         raise SolverError("find_c: every perturbation trial failed")
-    return float(candidates[int(np.argmin(errors / used))])
+    errors /= used
+    tied = errors <= errors.min() * (1.0 + TIE_RTOL)
+    return float(candidates[int(np.argmax(tied))])
 
 
 def sigmoid(z):

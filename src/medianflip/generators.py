@@ -90,30 +90,14 @@ def _star_edges(n):
     return [(0, v, 1.0) for v in range(1, n)]
 
 
-def _is_connected(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                frontier.append(v)
-    return bool(seen.all())
-
-
-def _gnp_edges(rng, n, p):
+def _gnp_network(rng, n, p):
     for _ in range(GNP_RETRY_CAP):
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < p
         edges = [(int(u), int(v), 1.0) for u, v in zip(iu[mask], ju[mask])]
-        if _is_connected(n, edges):
-            return edges
+        network = build_network(n, edges)
+        if len(network.walk(0)) == n:
+            return network
     raise RuntimeError(
         f"gnp(n={n}, p={p}) failed to produce a connected graph in "
         f"{GNP_RETRY_CAP} attempts; increase n or p"
@@ -219,7 +203,7 @@ def generate_network(topology, params, rng):
     if topology == "star":
         return build_network(p["n"], _star_edges(p["n"]))
     if topology == "gnp":
-        return build_network(p["n"], _gnp_edges(rng, p["n"], p["p"]))
+        return _gnp_network(rng, p["n"], p["p"])
     if topology == "random_tree":
         return build_network(p["n"], _random_tree_edges(rng, p["n"]))
     if topology == "ba":

@@ -140,7 +140,7 @@ def betweenness(network):
     halved.
     """
     n = network.node_count
-    adj = [list(network.adjacency[u][0]) for u in range(n)]
+    adj = [targets.tolist() for targets, _ in network.adjacency]
     bc = np.zeros(n)
     for src in range(n):
         sigma = np.zeros(n)

@@ -18,63 +18,62 @@ class Network:
 
     Undirected input is stored as two directed arcs of equal weight. Arcs
     are kept sorted by (source, target) so every downstream algorithm is
-    run-to-run deterministic.
+    run-to-run deterministic, and the arcs leaving u are the rows
+    indptr[u]:indptr[u + 1] of arc_dst and arc_w (compressed sparse rows).
     """
 
     def __init__(self, node_count, directed, arc_src, arc_dst, arc_w, edge_count):
         self.node_count = int(node_count)
         self.directed = bool(directed)
+        # arc_src stays beside indptr: save_instance and the benchmark's
+        # workloads read the three flat arc arrays
         self.arc_src = arc_src
         self.arc_dst = arc_dst
         self.arc_w = arc_w
         self.edge_count = int(edge_count)
+        self.indptr = np.searchsorted(arc_src, np.arange(self.node_count + 1))
         self.deg = np.zeros(self.node_count)
         np.add.at(self.deg, arc_src, arc_w)
         self._W = None
-        self._adj = None
-        self._indeg = None
 
     @property
     def influence_matrix(self):
         """Row-normalized sparse W (CSR); zero rows for degree-0 nodes."""
         if self._W is None:
             n = self.node_count
-            if len(self.arc_src) == 0:
-                self._W = sp.csr_matrix((n, n))
-            else:
-                norm_w = self.arc_w / self.deg[self.arc_src]
-                self._W = sp.csr_matrix(
-                    (norm_w, (self.arc_src, self.arc_dst)), shape=(n, n)
-                )
+            self._W = sp.csr_matrix(
+                (self.arc_w / self.deg[self.arc_src], self.arc_dst, self.indptr),
+                shape=(n, n),
+            )
         return self._W
 
+    # the benchmark's tracer wraps this property by name
     @property
     def adjacency(self):
-        """Per-node list of (targets, weights) arrays, targets ascending."""
-        if self._adj is None:
-            targets = [[] for _ in range(self.node_count)]
-            weights = [[] for _ in range(self.node_count)]
-            for u, v, w in zip(self.arc_src, self.arc_dst, self.arc_w):
-                targets[int(u)].append(int(v))
-                weights[int(u)].append(float(w))
-            self._adj = [
-                (np.array(t, dtype=int), np.array(w)) for t, w in zip(targets, weights)
-            ]
-        return self._adj
-
-    @property
-    def in_degree(self):
-        """Unweighted in-degree per node, self-loops excluded."""
-        if self._indeg is None:
-            indeg = np.zeros(self.node_count, dtype=int)
-            for u, v in zip(self.arc_src, self.arc_dst):
-                if u != v:
-                    indeg[int(v)] += 1
-            self._indeg = indeg
-        return self._indeg
+        """Per-node (targets, weights) of out_neighbors, targets ascending."""
+        return [self.out_neighbors(u) for u in range(self.node_count)]
 
     def out_neighbors(self, u):
-        return self.adjacency[u]
+        """Targets (ascending) and weights of u's out-arcs, as views."""
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        return self.arc_dst[lo:hi], self.arc_w[lo:hi]
+
+    def walk(self, root):
+        """Nodes reachable from root along out-arcs, each once, in the
+        order a stack pops them. Out-neighbors are pushed in ascending
+        order, so the highest-numbered is visited first; on an out-tree
+        this is a depth-first preorder, every parent before its children."""
+        seen = np.zeros(self.node_count, dtype=bool)
+        seen[root] = True
+        order, stack = [], [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v in self.out_neighbors(u)[0].tolist():
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return order
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"

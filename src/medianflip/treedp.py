@@ -20,34 +20,26 @@ from .network import NetworkError
 MODES = ("resistance", "opinion", "both")
 
 
+def _tree_root(network):
+    """Root of the graph if it is a rooted out-tree (self-loops ignored),
+    else None."""
+    n = network.node_count
+    targets = network.arc_dst[network.arc_src != network.arc_dst]
+    if (n > 1 and not network.directed) or len(targets) != n - 1:
+        return None
+    indeg = np.bincount(targets, minlength=n)
+    roots = np.flatnonzero(indeg == 0)
+    if len(roots) != 1 or indeg.max() > 1:
+        return None
+    # n - 1 arcs, one root and in-degree <= 1 still admit a path plus a
+    # disjoint cycle; only reachability from the root rules that out
+    root = int(roots[0])
+    return root if len(network.walk(root)) == n else None
+
+
 def is_hierarchy(network):
     """True iff the graph is a rooted out-tree (self-loops ignored)."""
-    n = network.node_count
-    arcs = [
-        (int(u), int(v))
-        for u, v in zip(network.arc_src, network.arc_dst)
-        if u != v
-    ]
-    if n == 1:
-        return len(arcs) == 0
-    if not network.directed or len(arcs) != n - 1:
-        return False
-    indeg = np.zeros(n, dtype=int)
-    children = [[] for _ in range(n)]
-    for u, v in arcs:
-        indeg[v] += 1
-        children[u].append(v)
-    roots = np.nonzero(indeg == 0)[0]
-    if len(roots) != 1 or np.any(indeg > 1):
-        return False
-    seen = 1
-    frontier = [int(roots[0])]
-    while frontier:
-        u = frontier.pop()
-        for v in children[u]:
-            seen += 1
-            frontier.append(v)
-    return seen == n
+    return _tree_root(network) is not None
 
 
 @dataclass
@@ -60,12 +52,12 @@ class TreeInstance:
     costs: np.ndarray = None
     mode: str = "resistance"
     root: int = field(init=False)
-    children: list = field(init=False)
     order: list = field(init=False)
 
     def __post_init__(self):
         net = self.instance.network
-        if not is_hierarchy(net):
+        self.root = _tree_root(net)
+        if self.root is None:
             raise NetworkError("not a hierarchy: need a rooted out-tree")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -86,44 +78,33 @@ class TreeInstance:
                 raise ValueError("costs must be one integer per node")
             if np.any(self.costs < 1):
                 raise ValueError("stooge costs must be positive integers")
-        indeg = np.zeros(n, dtype=int)
-        self.children = [[] for _ in range(n)]
+        loops = net.arc_src == net.arc_dst
         self.loop_w = np.zeros(n)
-        for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w):
-            if u == v:
-                self.loop_w[int(u)] = float(w)
-                continue
-            self.children[int(u)].append(int(v))
-            indeg[int(v)] += 1
-        for kids in self.children:
-            kids.sort()
-        self.root = int(np.nonzero(indeg == 0)[0][0]) if n > 1 else 0
-        self.order = []
-        frontier = [self.root]
-        while frontier:
-            u = frontier.pop()
-            self.order.append(u)
-            frontier.extend(self.children[u])
+        self.loop_w[net.arc_src[loops]] = net.arc_w[loops]
+        self.order = net.walk(self.root)
 
     @property
     def node_count(self):
         return self.instance.network.node_count
 
-    def arc_weight(self, u, v):
-        net = self.instance.network
-        mask = (net.arc_src == u) & (net.arc_dst == v)
-        return float(net.arc_w[mask][0])
+    def children(self, u):
+        """Child ids of u in ascending order and their arc weights, as
+        lists; u's self-loop, if any, is left out."""
+        kids, weights = self.instance.network.out_neighbors(u)
+        keep = kids != u
+        return kids[keep].tolist(), weights[keep].tolist()
 
 
-def _combine(tree, u, alpha_u, s_u, childsum, deg):
+def _combine(tree, u, alpha_u, s_u, childsum):
     """Fixed-point opinion of node u given the weighted child opinions.
 
     With a self-loop of weight l the update x = alpha s + (1-alpha)/deg *
     (childsum + l x) is solved for x; without one the update is direct.
+    deg is u's full out-weight, self-loop included.
     """
-    loop = tree.loop_w[u]
+    deg = tree.instance.network.deg[u]
     numer = alpha_u * s_u + (1.0 - alpha_u) * childsum / deg
-    denom = 1.0 - (1.0 - alpha_u) * loop / deg
+    denom = 1.0 - (1.0 - alpha_u) * tree.loop_w[u] / deg
     return numer / denom
 
 
@@ -139,20 +120,13 @@ def tree_equilibrium(tree, alpha=None, s=None):
     x = np.zeros(np.broadcast_shapes(alpha.shape, s.shape))
     alpha = np.broadcast_to(alpha, x.shape)
     s = np.broadcast_to(s, x.shape)
-    weights = {}
-    net = inst.network
-    for au, av, aw in zip(net.arc_src, net.arc_dst, net.arc_w):
-        weights[(int(au), int(av))] = float(aw)
     for u in reversed(tree.order):
-        kids = tree.children[u]
+        kids, weights = tree.children(u)
         if not kids:
             x[u] = s[u]
             continue
-        deg = sum(weights[(u, c)] for c in kids) + tree.loop_w[u]
-        childsum = sum(weights[(u, c)] * x[c] for c in kids)
-        numer = alpha[u] * s[u] + (1.0 - alpha[u]) * childsum / deg
-        denom = 1.0 - (1.0 - alpha[u]) * tree.loop_w[u] / deg
-        x[u] = numer / denom
+        childsum = sum(w * x[c] for c, w in zip(kids, weights))
+        x[u] = _combine(tree, u, alpha[u], s[u], childsum)
     return x
 
 
@@ -189,10 +163,9 @@ def tree_dp_min_stooges(tree, theta=0.5):
     dp = {}
     stages_by_node = {}
     for u in reversed(tree.order):
-        kids = tree.children[u]
+        kids, weights = tree.children(u)
         stages = [{(0, 0): (0.0, None, None)}]
-        for c in kids:
-            w = tree.arc_weight(u, c)
+        for c, w in zip(kids, weights):
             merged = {}
             for (J, K), (csum, _, _) in stages[-1].items():
                 for (j, k), (xc, _, _) in dp[c].items():
@@ -202,12 +175,11 @@ def tree_dp_min_stooges(tree, theta=0.5):
                         merged[key] = (val, (J, K), (j, k))
             stages.append(merged)
         stages_by_node[u] = stages
-        deg = sum(tree.arc_weight(u, c) for c in kids) + tree.loop_w[u]
         table = {}
         for label, cost, a_eff, s_eff in _node_cases(tree, u):
             for (J, K), (csum, _, _) in stages[-1].items():
                 if kids:
-                    x_u = _combine(tree, u, a_eff, s_eff, csum, deg)
+                    x_u = _combine(tree, u, a_eff, s_eff, csum)
                 else:
                     x_u = s_eff
                 vote = 1 if (tree.voting[u] and x_u > theta) else 0
@@ -234,9 +206,10 @@ def tree_dp_min_stooges(tree, theta=0.5):
             assignment[u] = label
         stages = stages_by_node[u]
         J, K = cdp_key
-        for i in range(len(tree.children[u]), 0, -1):
+        kids = tree.children(u)[0]
+        for i in range(len(kids), 0, -1):
             _, prev_key, child_key = stages[i][(J, K)]
-            backtrack(tree.children[u][i - 1], child_key)
+            backtrack(kids[i - 1], child_key)
             J, K = prev_key
 
     backtrack(tree.root, best_key)

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network, mean, median
+from medianflip import Instance, build_network, estimators, mean, median
+from medianflip.equilibrium import simulate
 from medianflip.estimators import (
     HuberConfig,
     SigmoidConfig,
@@ -14,6 +15,7 @@ from medianflip.estimators import (
     sigmoid,
     sigmoid_objective,
 )
+from medianflip.generators import GeneratorSpec, generate
 from medianflip.gradients import sigmoid_gradient
 
 
@@ -104,6 +106,25 @@ def test_find_c_constant_equilibrium_breaks_ties_small():
     inst = Instance(net, np.ones(3), np.full(3, 0.5))
     c = find_c(inst, epsilon=0.0 + 0.05, trials=3, seed=0)
     assert c == pytest.approx(default_c_grid()[0])
+
+
+def test_find_c_rounding_ties_go_to_smaller_c(monkeypatch):
+    # 10x10 grid of generator seed 3, relabelled by default_rng([103, 3]):
+    # the trial-average errors of the six smallest candidates agree to
+    # about 2e-13 relative, so without a tie tolerance the solver's last
+    # bits picked c (6.81e-4 by dense LU, 3.16e-4 by simulation)
+    inst = generate(GeneratorSpec("grid", dist="normal", seed=3))
+    net = inst.network
+    perm = np.random.default_rng([103, 3]).permutation(net.node_count)
+    edges = [(int(perm[u]), int(perm[v]), float(w))
+             for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w) if u < v]
+    alpha, s = np.empty(100), np.empty(100)
+    alpha[perm], s[perm] = inst.alpha, inst.s
+    inst = Instance(build_network(100, edges), alpha, s)
+    assert find_c(inst, seed=3) == default_c_grid()[0]
+    monkeypatch.setattr(estimators, "equilibrium",
+                        lambda instance: simulate(instance, tol=1e-15))
+    assert find_c(inst, seed=3) == default_c_grid()[0]
 
 
 def test_find_c_single_node():

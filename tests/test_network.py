@@ -80,6 +80,15 @@ def test_adjacency_sorted_by_target():
     assert np.allclose(weights, 1.0)
 
 
+def test_walk_visits_each_reachable_node_once():
+    # node 1 has no out-arcs, 2 -> 0 closes a cycle, 3 is unreachable
+    net = build_network(5, [(0, 2, 1.0), (0, 1, 1.0), (2, 0, 1.0),
+                            (2, 4, 1.0), (3, 0, 1.0)], directed=True)
+    assert net.out_neighbors(1)[0].size == 0
+    assert list(net.out_neighbors(2)[0]) == [0, 4]
+    assert net.walk(0) == [0, 2, 4, 1]
+
+
 def test_instance_validates_shapes_and_range():
     net = build_network(2, [(0, 1, 1.0)])
     with pytest.raises(NetworkError):

@@ -30,6 +30,15 @@ def random_tree_edges(rng, n):
     return [(int(rng.integers(0, v)), v) for v in range(1, n)]
 
 
+def weigh_with_loops(rng, edges):
+    """Non-unit weights on every arc, plus a self-loop on about half of
+    the internal nodes."""
+    weighted = [(u, v, float(rng.uniform(0.25, 4.0))) for u, v in edges]
+    loops = [(u, u, float(rng.uniform(0.25, 4.0)))
+             for u in sorted({u for u, _ in edges}) if rng.random() < 0.5]
+    return weighted + loops
+
+
 class TestIsHierarchy:
     def test_single_node(self):
         net = build_network(1, [], directed=True)
@@ -50,6 +59,12 @@ class TestIsHierarchy:
 
     def test_cycle_rejected(self):
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
+                            directed=True)
+        assert not is_hierarchy(net)
+
+    def test_path_plus_disjoint_two_cycle_rejected(self):
+        # n - 1 arcs, one root, in-degree <= 1: only reachability fails
+        net = build_network(4, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)],
                             directed=True)
         assert not is_hierarchy(net)
 
@@ -95,8 +110,9 @@ class TestTreeEquilibrium:
     def test_matches_graph_solver_when_leaves_anchored(self):
         # With alpha = 1 on leaves both conventions coincide, so the
         # bottom-up pass must agree with the sparse linear solver.
+        # The last ten trees carry non-unit weights and self-loops.
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        for trial in range(30):
             n = int(rng.integers(3, 12))
             edges = random_tree_edges(rng, n)
             alpha = rng.uniform(0.1, 0.9, n)
@@ -104,6 +120,8 @@ class TestTreeEquilibrium:
             for v in range(n):
                 if v not in kids:
                     alpha[v] = 1.0
+            if trial >= 20:
+                edges = weigh_with_loops(rng, edges)
             s = rng.uniform(0, 1, n)
             tree = tree_instance(edges, alpha, s)
             x_tree = tree_equilibrium(tree)
@@ -192,11 +210,14 @@ class TestTreeDP:
             assert paid == res.cost
 
     def test_matches_brute_force_all_modes(self):
+        # The last thirty trees carry non-unit weights and self-loops.
         rng = np.random.default_rng(2024)
         checked = 0
-        for trial in range(60):
+        for trial in range(90):
             n = int(rng.integers(2, 9))
             edges = random_tree_edges(rng, n)
+            if trial >= 60:
+                edges = weigh_with_loops(rng, edges)
             alpha = rng.uniform(0, 1, n)
             s = rng.uniform(0, 1, n)
             mode = ("resistance", "opinion", "both")[trial % 3]
