@@ -10,8 +10,9 @@ equilibrium solves X x = A s where X = I - (I - A) W. An
 EquilibriumOperator holds X for one resistance vector and serves both
 the forward solve X x = b and the adjoint solve X^T z = v, never through
 an explicit inverse: up to DENSE_MAX_NODES nodes X is LU-factored once
-as a dense matrix, above that each solve is a least-squares run (LSQR)
-on the sparse X. Nodes with deg(u) = 0 have an all-zero W row and
+as a dense matrix, above that each solve is a restarted GMRES run on the
+sparse X (Saad, Iterative Methods for Sparse Linear Systems, 2003),
+which works on X itself rather than on the normal equations. Nodes with deg(u) = 0 have an all-zero W row and
 therefore x_u = alpha_u * s_u.
 
 X is singular exactly when some closed class of W's graph (a sink
@@ -28,21 +29,27 @@ from scipy.linalg import lu_factor, lu_solve
 
 DEFAULT_TOL = 1e-10
 
-# Largest node count solved by dense LU; larger systems use LSQR. A dense
-# LU costs O(n^3) whatever the topology, while an LSQR forward-plus-adjoint
-# pair on these well-conditioned systems stays near 2.5-4.5 ms. Dense
+# Largest node count solved by dense LU; larger systems use GMRES. A dense
+# LU costs O(n^3) whatever the topology, while a GMRES forward-plus-adjoint
+# pair on these well-conditioned systems (about 13 iterations per solve)
+# stays near 4-5 ms at these sizes, mostly per-iteration overhead. Dense
 # build + factor + forward and adjoint solve with both residuals, against
-# that LSQR pair, on ba and gnp graphs (2 vCPUs, OpenBLAS with 2 threads,
-# idle machine):
-#   n = 100: 0.2 vs 2.9-3.3 ms     n = 150: 0.44 vs 3.3-3.6 ms
-#   n = 200: 1.5 vs 3.4-3.9 ms     n = 250: 2.7 vs 3.7-3.8 ms
-#   n = 300: 3.5-3.9 vs 3.8-4.0    n = 400: 6.2-7.0 vs 2.9-3.9 ms
-# With the second CPU busy the dense side slows first: 1.0-1.4 ms at
-# n = 200 but 4.1-4.8 ms at 250 and 7.2-7.7 ms at 300, and when other
-# processes also run BLAS threads, 1.5-9 ms at n = 200 and 10-160 ms
-# from 250 up. At 200 the dense path wins by 2x or more on an idle
-# machine and costs at most a few ms more on a busy one.
+# that GMRES pair, in ms as dense / GMRES, median of 60, on ba and gnp
+# graphs (2 vCPUs, OpenBLAS with 2 threads; two idle runs, then one run
+# with the second CPU busy):
+#   n     ba idle             gnp idle            ba busy     gnp busy
+#   100   0.24 / 4.2-4.7      0.23 / 4.0-4.1      0.20 / 3.6  0.20 / 4.1
+#   150   0.47-0.54 / 4.6-4.8 0.44-0.55 / 4.7-5.0 0.52 / 4.6  0.51 / 5.0
+#   200   1.7-1.8 / 4.6-4.9   0.87-0.97 / 4.6     1.9 / 4.9   0.91 / 4.7
+#   250   4.0-5.2 / 4.6       1.7-1.9 / 4.6-5.0   6.8 / 4.2   1.9 / 4.5
+#   300   3.9-4.5 / 4.3-4.4   2.7-4.5 / 5.0-5.2   7.9 / 4.5   5.3 / 4.8
+#   400   7.8-8.4 / 4.9-5.1   7.5-7.9 / 5.1-5.5   8.2 / 4.5   10.0 / 5.0
+# The crossover sits near 250-300 nodes idle and 220-300 busy, so at 200
+# the dense path still wins by 2.5x or more either way.
 DENSE_MAX_NODES = 200
+
+# Krylov vectors GMRES keeps before it restarts.
+GMRES_RESTART = 50
 
 
 class SolverError(RuntimeError):
@@ -53,7 +60,7 @@ class SolverError(RuntimeError):
 class EquilibriumSolution:
     """Equilibrium opinions with solver diagnostics.
 
-    `iterations` counts LSQR iterations (0 for a dense solve, rounds for
+    `iterations` counts GMRES iterations (0 for a dense solve, rounds for
     `simulate`); `operator` is the factored system the opinions came
     from, kept so that adjoint solves can reuse it.
     """
@@ -71,10 +78,10 @@ class EquilibriumOperator:
 
     Raises SolverError naming the offending nodes when X is singular.
     Dense systems are LU-factored here; `solve` and `solve_T` then reuse
-    the factor. A dense solve raises SolverError when its residual is not
-    finite or exceeds 1e-6 * max(1, ||rhs||); an LSQR solve, capped at
-    10 * n iterations, raises when it stops unconverged with a residual
-    above that. tol applies to LSQR only.
+    the factor. Sparse systems are solved by GMRES(GMRES_RESTART) to the
+    relative residual tol, with at most about 10 * n iterations; tol
+    applies to GMRES only. Either solve raises SolverError when its
+    residual is not finite or exceeds 1e-6 * max(1, ||rhs||).
     """
 
     def __init__(self, instance, alpha=None):
@@ -89,42 +96,45 @@ class EquilibriumOperator:
         else:
             self.X = sp.eye(n, format="csr") - sp.diags(1.0 - alpha) @ W
             self._lu = None
+        self._XT = None  # CSR copy of X^T, made by the first sparse solve_T
 
     def solve(self, b, tol=DEFAULT_TOL):
         """x with X x = b."""
-        return self._solve(b, False, tol, None)[0]
+        return self._solve(b, False, tol)[0]
 
     def solve_T(self, v, tol=DEFAULT_TOL):
         """z with X^T z = v."""
-        return self._solve(v, True, tol, None)[0]
+        return self._solve(v, True, tol)[0]
 
-    def _solve(self, rhs, transpose, tol, max_iters):
-        """(solution, residual, LSQR iterations, converged)."""
+    def _solve(self, rhs, transpose, tol):
+        """(solution, residual, GMRES iterations, converged)."""
         rhs = np.asarray(rhs, dtype=float)
-        M = self.X.T if transpose else self.X
-        limit = 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
         if self._lu is not None:
+            kind, M = "dense", self.X.T if transpose else self.X
             x = lu_solve(self._lu, rhs, trans=int(transpose),
                          check_finite=False)
-            residual = float(np.linalg.norm(M @ x - rhs))
-            if not residual <= limit:  # also catches a non-finite residual
-                raise SolverError(
-                    f"dense equilibrium solve left residual {residual:.3e}")
-            return x, residual, 0, True
-        # imported here: processes that only solve small systems never
-        # load scipy.sparse.linalg, about 2 MB of resident memory
-        from scipy.sparse.linalg import lsqr
+            itn, converged = 0, True
+        else:
+            # imported here: processes that only solve small systems never
+            # load scipy.sparse.linalg, about 2 MB of resident memory
+            from scipy.sparse.linalg import gmres
 
-        if max_iters is None:
-            max_iters = 10 * len(rhs)
-        x, istop, itn = lsqr(M, rhs, atol=tol, btol=tol, iter_lim=max_iters)[:3]
+            if transpose and self._XT is None:
+                self._XT = self.X.T.tocsr()
+            M = self._XT if transpose else self.X
+            steps = []
+            # maxiter counts restart cycles: about 10 n iterations in all
+            x, info = gmres(M, rhs, rtol=tol, atol=0.0, restart=GMRES_RESTART,
+                            maxiter=10 * len(rhs) // GMRES_RESTART + 1,
+                            callback=steps.append, callback_type="pr_norm")
+            itn, converged = len(steps), info == 0
+            kind = f"GMRES ({itn} iterations)"
         residual = float(np.linalg.norm(M @ x - rhs))
-        converged = istop in (0, 1, 2, 4, 5)
-        if not converged and residual > limit:
+        if not residual <= 1e-6 * max(1.0, float(np.linalg.norm(rhs))):
+            # also catches a non-finite residual
             raise SolverError(
-                f"equilibrium solve stopped (istop={istop}) with residual "
-                f"{residual:.3e}")
-        return x, residual, int(itn), converged
+                f"{kind} equilibrium solve left residual {residual:.3e}")
+        return x, residual, itn, converged
 
 
 def _reject_singular(network, alpha):
@@ -148,16 +158,16 @@ def _reject_singular(network, alpha):
                 f"have alpha = 0 and reach only each other")
 
 
-def equilibrium(instance, alpha=None, tol=DEFAULT_TOL, max_iters=None):
+def equilibrium(instance, alpha=None, tol=DEFAULT_TOL):
     """Solve X x = A s for the equilibrium opinions.
 
     Factors X once (see EquilibriumOperator) and returns the operator on
-    the solution. On the LSQR path the solve is capped at max_iters
-    (default 10 * n) and fails only if the residual stays above a loose
-    multiple of tol after the cap. Raises SolverError.
+    the solution. Above DENSE_MAX_NODES, tol is the relative residual
+    GMRES aims for; the solve fails only if its residual exceeds
+    1e-6 * max(1, ||A s||). Raises SolverError.
     """
     op = EquilibriumOperator(instance, alpha)
-    x, residual, itn, converged = op._solve(op.b, False, tol, max_iters)
+    x, residual, itn, converged = op._solve(op.b, False, tol)
     return EquilibriumSolution(x, residual, itn, converged, op)
 
 

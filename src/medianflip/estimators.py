@@ -22,8 +22,9 @@ log = logging.getLogger(__name__)
 # find_c counts trial-average errors within this relative distance of the
 # smallest as tied. On a 10x10 grid the errors of six small c agreed to
 # 2e-13 relative, so the solve's rounding alone ordered them, while the
-# next candidate lay 2.5e-3 away. LSQR solves (n > 200) are accurate to
-# about 1e-10, so 1e-9 sits above solver noise and far below such gaps.
+# next candidate lay 2.5e-3 away. GMRES solves (n > 200) matched a dense
+# solve to within 9e-11 relative on ba and gnp graphs of 240 to 3000
+# nodes, so 1e-9 sits above solver noise and far below such gaps.
 TIE_RTOL = 1e-9
 
 

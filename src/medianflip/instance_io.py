@@ -21,24 +21,20 @@ class InstanceIOError(ValueError):
 def save_instance(instance, path):
     """Write the canonical document; undirected edges are stored once."""
     net = instance.network
-    if net.directed:
-        rows = zip(net.arc_src, net.arc_dst, net.arc_w)
-    else:
-        rows = (
-            (u, v, w)
-            for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w)
-            if u <= v
-        )
+    keep = slice(None) if net.directed else net.arc_src <= net.arc_dst
     doc = {
         "n": int(net.node_count),
         "directed": bool(net.directed),
-        "edges": [[int(u), int(v), float(w)] for u, v, w in rows],
-        "alpha": [float(a) for a in instance.alpha],
-        "s": [float(v) for v in instance.s],
+        "edges": list(zip(net.arc_src[keep].tolist(),
+                          net.arc_dst[keep].tolist(),
+                          net.arc_w[keep].tolist())),
+        "alpha": instance.alpha.tolist(),
+        "s": instance.s.tolist(),
     }
+    # json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _load_canonical(path):
@@ -50,8 +46,8 @@ def _load_canonical(path):
     missing = {"n", "directed", "edges", "alpha", "s"} - set(doc)
     if missing:
         raise InstanceIOError(f"{path}: missing fields {sorted(missing)}")
-    edges = [(int(u), int(v), float(w)) for u, v, w in doc["edges"]]
-    network = build_network(int(doc["n"]), edges, directed=bool(doc["directed"]),
+    network = build_network(int(doc["n"]), doc["edges"],
+                            directed=bool(doc["directed"]),
                             allow_self_loops=True)
     return Instance(network, np.asarray(doc["alpha"], dtype=float),
                     np.asarray(doc["s"], dtype=float))

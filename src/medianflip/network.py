@@ -83,52 +83,66 @@ class Network:
 def build_network(n, edges, directed=False, allow_self_loops=False):
     """Build a Network from (u, v, w) triples.
 
-    Node ids must lie in 0..n-1 and weights must be strictly positive.
-    For undirected graphs, listing an edge in both orientations with equal
-    weight counts as a single edge; conflicting or repeated arcs raise
-    NetworkError.
+    Node ids must be integers in 0..n-1 and weights finite and strictly
+    positive. For undirected graphs, listing an edge in both orientations
+    with equal weight counts as a single edge; conflicting or repeated
+    arcs raise NetworkError, as does any row that is not (u, v, w).
     """
     if n < 1:
         raise NetworkError(f"node_count must be >= 1, got {n}")
-    seen = {}
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise NetworkError(f"arc ({u}, {v}) out of range for n={n}")
-        if w <= 0:
-            raise NetworkError(f"arc ({u}, {v}) has nonpositive weight {w}")
-        if u == v and not allow_self_loops:
-            raise NetworkError(f"self-loop at node {u} not allowed")
-        key = (u, v) if directed or u <= v else (v, u)
-        if key in seen:
-            old_w, orientations = seen[key]
-            if directed or (u, v) in orientations:
-                raise NetworkError(f"duplicate arc ({u}, {v})")
-            if old_w != w:
-                raise NetworkError(
-                    f"edge {key} listed twice with weights {old_w} and {w}"
-                )
-            orientations.add((u, v))
-        else:
-            seen[key] = (w, {(u, v)})
+    try:
+        rows = np.array(edges, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"edges must be (u, v, w) rows: {exc}") from exc
+    if rows.shape == (0,):
+        rows = np.empty((0, 3))
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise NetworkError(
+            f"edges must be (u, v, w) rows, got an array of shape {rows.shape}")
+    ids, w = rows[:, :2], rows[:, 2]
+    for bad, problem in (
+            ((ids != np.floor(ids)).any(axis=1), "a non-integral node id"),
+            (((ids < 0) | (ids >= n)).any(axis=1),
+             f"a node id outside 0..{n - 1}"),
+            (~np.isfinite(w), "a non-finite weight"),
+            (w <= 0, "a nonpositive weight")):
+        if bad.any():
+            raise NetworkError(
+                f"edge {rows[np.argmax(bad)].tolist()} has {problem}")
+    src, dst = ids.astype(int).T
+    if not allow_self_loops and (src == dst).any():
+        raise NetworkError(
+            f"self-loop at node {src[np.argmax(src == dst)]} not allowed")
 
-    pairs = sorted(seen)
-    edge_count = len(pairs)
-    src, dst, wts = [], [], []
-    for u, v in pairs:
-        w = seen[(u, v)][0]
-        src.append(u)
-        dst.append(v)
-        wts.append(w)
-        if not directed and u != v:
-            src.append(v)
-            dst.append(u)
-            wts.append(w)
-    order = np.lexsort((dst, src)) if src else np.array([], dtype=int)
-    arc_src = np.array(src, dtype=int)[order]
-    arc_dst = np.array(dst, dtype=int)[order]
-    arc_w = np.array(wts)[order]
-    return Network(n, directed, arc_src, arc_dst, arc_w, edge_count)
+    # an edge's key is its arc, or for undirected input its (min, max)
+    # pair; sorting by (key, source) puts a repeated orientation next to
+    # itself and a mirrored listing next to its mirror
+    lo, hi = (src, dst) if directed else (np.minimum(src, dst),
+                                          np.maximum(src, dst))
+    order = np.lexsort((src, hi, lo))
+    lo, hi, src, dst, w = lo[order], hi[order], src[order], dst[order], w[order]
+    same = (np.diff(lo) == 0) & (np.diff(hi) == 0)
+    repeated = same & (np.diff(src) == 0)
+    if repeated.any():
+        i = np.argmax(repeated)
+        raise NetworkError(f"duplicate arc ({src[i]}, {dst[i]})")
+    conflict = same & (np.diff(w) != 0)
+    if conflict.any():
+        i = np.argmax(conflict)
+        raise NetworkError(f"edge ({lo[i]}, {hi[i]}) listed twice with "
+                           f"weights {w[i]} and {w[i + 1]}")
+    keep = np.ones(len(lo), dtype=bool)
+    keep[1:] = ~same
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    edge_count = len(lo)
+    if not directed:
+        mirror = lo != hi
+        lo, hi, w = (np.concatenate((lo, hi[mirror])),
+                     np.concatenate((hi, lo[mirror])),
+                     np.concatenate((w, w[mirror])))
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+    return Network(n, directed, lo, hi, w, edge_count)
 
 
 class Instance:

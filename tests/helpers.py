@@ -4,6 +4,7 @@ import numpy as np
 
 from medianflip import Instance, build_network
 from medianflip.equilibrium import equilibrium
+from medianflip.network import Network, NetworkError
 
 
 def random_connected_instance(rng, n, extra_edge_prob=0.15,
@@ -61,7 +62,8 @@ def exact_huber_estimate(x, c):
 
 
 def dense_equilibrium(instance, alpha):
-    """Direct dense solve of (I - (I-A)W) x = A s, independent of LSQR."""
+    """Direct dense solve of (I - (I-A)W) x = A s, independent of the
+    library's factored operator."""
     W = instance.network.influence_matrix.toarray()
     n = instance.node_count
     X = np.eye(n) - (1.0 - alpha)[:, None] * W
@@ -243,3 +245,49 @@ def check_variational_inequality(proj, alpha_prime, grid, tol=1e-6):
     F_grid = np.sum((grid - alpha_prime) ** 2, axis=1)
     gap = F_grid - F_proj - np.sum((grid - proj) ** 2, axis=1)
     return float(gap.min()) >= -tol
+
+
+def dict_loop_build_network(n, edges, directed=False, allow_self_loops=False):
+    """Edge-by-edge reference for build_network, with a dict of seen keys.
+
+    Takes integer ids and finite weights; the checks for non-integral
+    ids and non-finite weights belong to build_network alone.
+    """
+    if n < 1:
+        raise NetworkError(f"node_count must be >= 1, got {n}")
+    seen = {}
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise NetworkError(f"arc ({u}, {v}) out of range for n={n}")
+        if w <= 0:
+            raise NetworkError(f"arc ({u}, {v}) has nonpositive weight {w}")
+        if u == v and not allow_self_loops:
+            raise NetworkError(f"self-loop at node {u} not allowed")
+        key = (u, v) if directed or u <= v else (v, u)
+        if key in seen:
+            old_w, orientations = seen[key]
+            if directed or (u, v) in orientations:
+                raise NetworkError(f"duplicate arc ({u}, {v})")
+            if old_w != w:
+                raise NetworkError(
+                    f"edge {key} listed twice with weights {old_w} and {w}")
+            orientations.add((u, v))
+        else:
+            seen[key] = (w, {(u, v)})
+
+    pairs = sorted(seen)
+    src, dst, wts = [], [], []
+    for u, v in pairs:
+        w = seen[(u, v)][0]
+        src.append(u)
+        dst.append(v)
+        wts.append(w)
+        if not directed and u != v:
+            src.append(v)
+            dst.append(u)
+            wts.append(w)
+    order = np.lexsort((dst, src)) if src else np.array([], dtype=int)
+    return Network(n, directed, np.array(src, dtype=int)[order],
+                   np.array(dst, dtype=int)[order], np.array(wts)[order],
+                   len(pairs))

@@ -184,3 +184,23 @@ def test_dense_solve_rejects_non_finite_result(monkeypatch):
                         lambda lu, b, **kw: np.full_like(b, np.nan))
     with pytest.raises(SolverError, match="residual"):
         equilibrium(two_node_instance())
+
+
+def test_iterative_solve_rejects_non_finite_result(monkeypatch):
+    linalg = importlib.import_module("scipy.sparse.linalg")
+    monkeypatch.setattr(linalg, "gmres",
+                        lambda M, b, **kw: (np.full_like(b, np.nan), 0))
+    with pytest.raises(SolverError, match="residual"):
+        equilibrium(_ba_instance(DENSE_MAX_NODES + 40, seed=5))
+
+
+def test_iterative_solve_with_weak_resistance_matches_simulation():
+    # alpha = 1e-3 puts X within 1e-3 of the singular I - W
+    inst = _ba_instance(2000, seed=0)
+    alpha = np.full(inst.node_count, 1e-3)
+    sol = equilibrium(inst, alpha=alpha)
+    assert sol.converged and sol.iterations > 0
+    assert sol.residual <= 1e-9
+    sim = simulate(inst, alpha=alpha, tol=1e-14)
+    assert sim.converged
+    assert np.max(np.abs(sol.x_star - sim.x_star)) <= 1e-10

@@ -128,8 +128,8 @@ def test_gradients_reuse_supplied_equilibrium():
     assert np.allclose(a.gradient, b.gradient, atol=1e-12)
 
 
-def test_action_on_lsqr_side_matches_simulated_differences():
-    # above DENSE_MAX_NODES the adjoint is an LSQR solve; check it against
+def test_action_on_iterative_side_matches_simulated_differences():
+    # above DENSE_MAX_NODES the adjoint is a GMRES solve; check it against
     # central differences of the fixed-point iteration, not of a solver
     inst = generate(GeneratorSpec("ba", dist="normal", seed=3,
                                   params={"n": DENSE_MAX_NODES + 40}))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,27 @@ class TestCanonicalRoundTrip:
         save_instance(inst, path)
         back = load_instance(path)
         np.testing.assert_array_equal(back.network.arc_w, net.arc_w)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_file_matches_streamed_json_document(self, tmp_path, directed):
+        inst = random_connected_instance(np.random.default_rng(56), 40,
+                                         directed=directed)
+        net = inst.network
+        rows = [(u, v, w)
+                for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w)
+                if directed or u <= v]
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump({"n": int(net.node_count),
+                       "directed": bool(net.directed),
+                       "edges": [[int(u), int(v), float(w)]
+                                 for u, v, w in rows],
+                       "alpha": [float(a) for a in inst.alpha],
+                       "s": [float(v) for v in inst.s]}, fh)
+            fh.write("\n")
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

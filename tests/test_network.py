@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medianflip import Instance, NetworkError, build_network
+
+from helpers import dict_loop_build_network
 
 
 def test_single_undirected_edge_degrees():
@@ -52,6 +56,32 @@ def test_nonpositive_weight_rejected():
         build_network(2, [(0, 1, 0.0)])
     with pytest.raises(NetworkError):
         build_network(2, [(0, 1, -1.0)])
+
+
+def test_non_finite_weight_rejected():
+    for w in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NetworkError, match="weight"):
+            build_network(3, [(0, 1, 1.0), (1, 2, w)])
+
+
+def test_non_integral_node_id_rejected():
+    with pytest.raises(NetworkError, match=r"\[0\.0, 1\.5, 1\.0\]"):
+        build_network(3, [(0, 1.5, 1.0)])
+    with pytest.raises(NetworkError):
+        build_network(3, [(np.nan, 1, 1.0)])
+
+
+def test_rows_that_are_not_triples_rejected():
+    # three 2-field rows hold six numbers, but must not be read as two
+    # (u, v, w) rows
+    with pytest.raises(NetworkError, match="shape"):
+        build_network(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(NetworkError):
+        build_network(3, [(0, 1, 1.0), (1, 2)])
+    with pytest.raises(NetworkError):
+        build_network(3, [(0, 1, 1.0, 2.0)])
+    with pytest.raises(NetworkError):
+        build_network(3, [("a", 1, 1.0)])
 
 
 def test_duplicate_arc_rejected():
@@ -106,3 +136,49 @@ def test_with_alpha_leaves_original_untouched():
     assert np.allclose(inst.alpha, 0.5)
     assert np.allclose(other.alpha, 1.0)
     assert other.network is inst.network
+
+
+@st.composite
+def edge_lists(draw):
+    """Small edge lists with mirrored, repeated, conflicting and
+    self-loop edges, and now and then an out-of-range id or a
+    nonpositive weight."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(node, node, st.sampled_from([0.25, 1.0, 2.0])).filter(
+            lambda e: e[0] != e[1]),
+        max_size=10, unique_by=lambda e: (min(e[:2]), max(e[:2]))))
+    edges += draw(st.lists(st.sampled_from(
+        [(1, 1, 0.5), (0, n, 1.0), (-1, 0, 1.0), (0, 1, 0.0), (1, 0, -1.0)]),
+        max_size=1))
+    copies = draw(st.lists(st.tuples(
+        st.integers(0, max(len(edges) - 1, 0)),
+        st.sampled_from(["mirror", "repeat", "conflict"])), max_size=3))
+    for i, how in copies if edges else ():
+        u, v, w = edges[i]
+        edges.append({"mirror": (v, u, w), "repeat": (u, v, w),
+                      "conflict": (v, u, w + 1.0)}[how])
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.booleans(), st.booleans())
+def test_build_matches_dict_loop_reference(case, directed, loops):
+    n, edges = case
+
+    def outcome(make):
+        try:
+            return make(n, edges, directed=directed, allow_self_loops=loops)
+        except NetworkError:
+            return None
+
+    ours, reference = (outcome(build_network),
+                       outcome(dict_loop_build_network))
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert ours.edge_count == reference.edge_count
+        for name in ("arc_src", "arc_dst", "arc_w"):
+            a, b = getattr(ours, name), getattr(reference, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
