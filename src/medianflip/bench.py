@@ -1,11 +1,13 @@
 """Experiment harness: run intervention methods over seeds and budgets,
 search for flip points, and emit machine-readable reports.
 
-Budget convention: config budgets count stooges (the l0 sense). The
-continuous methods spend an l1 budget instead and receive half the
-stooge count, matching the uniform alpha = 1/2 starting point where one
-full stooge costs 1/2 of l1 movement. Found continuous flip budgets are
-reported back in stooge equivalents (twice the l1 radius).
+Budget convention: budgets, search caps and search resolutions count
+stooges (the l0 sense). The continuous methods spend an l1 budget
+instead and receive half the stooge count, matching the uniform
+alpha = 1/2 starting point where one full stooge costs 1/2 of l1
+movement; stooge_runner is the one place that converts. Found
+continuous flip budgets are therefore stooge equivalents (twice the l1
+radius).
 """
 
 import json
@@ -60,8 +62,9 @@ class ExperimentConfig:
     """One instance, several methods, several seeds.
 
     budget None means "search for the smallest flipping budget" via
-    min_budget_to_flip; an integer budget runs each method once at that
-    stooge count (continuous methods at half that in l1).
+    flip_budget, up to max_budget and to within resolution; an integer
+    budget runs each method once at that stooge count. All three count
+    stooges (see stooge_runner).
     """
 
     instance: object
@@ -72,7 +75,7 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     method_params: dict = field(default_factory=dict)
     max_budget: int = None
-    resolution: float = 0.25
+    resolution: float = 0.5
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -135,6 +138,7 @@ def _tree_dp_runner(instance, budget, theta, mode):
         alpha_final=alpha, stooges=stooges, l0_budget_used=res.cost,
         l1_budget_used=float(np.abs(alpha - instance.alpha).sum()),
         final_median=med, flipped=med > theta, converged=True,
+        s_final=None if np.array_equal(s, instance.s) else s,
     )
 
 
@@ -150,7 +154,7 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     c_cache = {}
 
     def opt_config(budget):
-        keys = ("eta", "beta1", "beta2", "max_iters", "converge_tol")
+        keys = ("eta", "max_iters")
         kwargs = {k: params[k] for k in keys if k in params}
         return OptimizerConfig(budget_k=budget, **kwargs)
 
@@ -187,6 +191,27 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     return run
 
 
+def stooge_runner(method, theta, seed, params):
+    """method_runner whose budget argument counts stooges: huber and
+    sigmoid receive half of it as their l1 radius."""
+    runner = method_runner(method, theta=theta, seed=seed, params=params)
+    if method not in CONTINUOUS_METHODS:
+        return runner
+    return lambda instance, stooges: runner(instance, stooges / 2.0)
+
+
+def flip_budget(instance, method, runner, theta, max_budget, resolution):
+    """min_budget_to_flip for a stooge_runner, in stooges. A max_budget
+    of None caps the search at every node; continuous methods bisect
+    down to resolution stooges."""
+    continuous = method in CONTINUOUS_METHODS
+    if continuous and max_budget is None:
+        max_budget = instance.node_count
+    return min_budget_to_flip(instance, runner, theta=theta,
+                              max_budget=max_budget, continuous=continuous,
+                              resolution=resolution)
+
+
 def _stooge_set(method, result, instance, k_equivalent):
     if method in CONTINUOUS_METHODS:
         k = max(1, int(np.ceil(k_equivalent)))
@@ -202,28 +227,25 @@ def _run_one(config, method, seed):
         instance=config.name, method=method, seed=seed, n=n,
         m=instance.network.edge_count, theta=config.theta,
     )
-    continuous = method in CONTINUOUS_METHODS
-    runner = method_runner(method, theta=config.theta, seed=seed,
+    runner = stooge_runner(method, theta=config.theta, seed=seed,
                            params=config.method_params.get(method))
     try:
         if config.budget is None:
             start = time.perf_counter()
-            found = min_budget_to_flip(
-                instance, runner, theta=config.theta,
-                max_budget=config.max_budget, continuous=continuous,
-                resolution=config.resolution,
-            )
+            found = flip_budget(instance, method, runner, theta=config.theta,
+                                max_budget=config.max_budget,
+                                resolution=config.resolution)
             if found is None:
                 record.runtime_ms = 1e3 * (time.perf_counter() - start)
                 record.error = "no flipping budget up to max_budget"
                 return record
             result = runner(instance, found) if found > 0 else None
             record.runtime_ms = 1e3 * (time.perf_counter() - start)
-            record.budget = 2.0 * found if continuous else float(found)
+            record.budget = float(found)
         else:
-            native = config.budget / 2.0 if continuous else config.budget
             start = time.perf_counter()
-            result = runner(instance, native) if config.budget > 0 else None
+            result = (runner(instance, config.budget) if config.budget > 0
+                      else None)
             record.runtime_ms = 1e3 * (time.perf_counter() - start)
             record.budget = float(config.budget)
         record.percent_of_n = 100.0 * record.budget / n

@@ -10,21 +10,21 @@ import argparse
 import json
 import sys
 from csv import writer as csv_writer
+from dataclasses import fields
 
 from .bench import (
-    CONTINUOUS_METHODS,
     METHODS,
     ExperimentConfig,
     ExperimentReport,
     RunRecord,
     compare_stooges,
     emit_report,
-    method_runner,
+    flip_budget,
     run_experiment,
+    stooge_runner,
 )
 from .equilibrium import SolverError
 from .generators import DISTRIBUTIONS, TOPOLOGIES, GeneratorSpec, generate
-from .greedy import min_budget_to_flip
 from .instance_io import (
     InstanceIOError,
     instance_stats,
@@ -119,11 +119,9 @@ def _write_trace(path, trace):
 
 def _cmd_optimize(args):
     instance = _load_from_args(args)
-    runner = method_runner(args.method, theta=args.theta, seed=args.seed,
+    runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
                            params=_method_params(args))
-    native = (args.budget / 2.0 if args.method in CONTINUOUS_METHODS
-              else args.budget)
-    result = runner(instance, native)
+    result = runner(instance, args.budget)
     print(f"method {args.method}")
     print(f"budget {args.budget:g}")
     print(f"flipped {'true' if result.flipped else 'false'}")
@@ -135,60 +133,61 @@ def _cmd_optimize(args):
     if args.trace:
         _write_trace(args.trace, result.objective_trace)
     if args.out:
-        save_instance(instance.with_alpha(result.alpha_final), args.out)
+        modified = instance.with_alpha(result.alpha_final)
+        if result.s_final is not None:
+            modified = modified.with_s(result.s_final)
+        save_instance(modified, args.out)
     return EXIT_OK
 
 
 def _cmd_flip(args):
     instance = _load_from_args(args)
-    continuous = args.method in CONTINUOUS_METHODS
-    runner = method_runner(args.method, theta=args.theta, seed=args.seed,
+    runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
                            params=_method_params(args))
-    found = min_budget_to_flip(instance, runner, theta=args.theta,
-                               max_budget=args.max_budget,
-                               continuous=continuous,
-                               resolution=args.resolution)
+    found = flip_budget(instance, args.method, runner, theta=args.theta,
+                        max_budget=args.max_budget,
+                        resolution=args.resolution)
     if found is None:
         print("no flipping budget found")
         return EXIT_OK
-    equivalents = 2.0 * found if continuous else float(found)
-    print(f"budget_to_flip {equivalents:g}")
+    print(f"budget_to_flip {float(found):g}")
     print(f"percent_of_n "
-          f"{100.0 * equivalents / instance.network.node_count:.2f}")
+          f"{100.0 * found / instance.network.node_count:.2f}")
     return EXIT_OK
 
 
-def _instance_from_config(doc):
-    source = doc.get("instance")
-    if isinstance(source, str):
-        return load_instance(source)
-    if isinstance(source, dict):
-        spec = GeneratorSpec(
-            topology=source["topology"],
-            dist=source.get("dist", "normal"),
-            seed=source.get("seed"),
-            params=source.get("params", {}),
-            opinion_file=source.get("opinion_file"),
-        )
-        return generate(spec)
-    raise InstanceIOError("config 'instance' must be a path or a spec object")
+def _check_keys(doc, cls, where):
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InstanceIOError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _from_doc(cls, doc, where, *args):
+    """cls(*args, **doc); keys that name no field of cls, missing
+    required keys and values of the wrong kind are invalid input."""
+    _check_keys(doc, cls, where)
+    try:
+        return cls(*args, **doc)
+    except TypeError as exc:
+        raise InstanceIOError(f"{where}: {exc}") from exc
 
 
 def _cmd_bench(args):
     with open(args.config) as fh:
         doc = json.load(fh)
-    instance = _instance_from_config(doc)
-    config = ExperimentConfig(
-        instance,
-        name=doc.get("name", "instance"),
-        methods=tuple(doc.get("methods", ("greedy",))),
-        theta=doc.get("theta", 0.5),
-        budget=doc.get("budget"),
-        seeds=tuple(doc.get("seeds", (0,))),
-        method_params=doc.get("method_params", {}),
-        max_budget=doc.get("max_budget"),
-        resolution=doc.get("resolution", 0.25),
-    )
+    if not isinstance(doc, dict):
+        raise InstanceIOError("config must be a JSON object")
+    _check_keys(doc, ExperimentConfig, "config")  # before any generation
+    source = doc.pop("instance", None)
+    if isinstance(source, str):
+        instance = load_instance(source)
+    elif isinstance(source, dict):
+        instance = generate(_from_doc(GeneratorSpec, source,
+                                      "config 'instance'"))
+    else:
+        raise InstanceIOError(
+            "config 'instance' must be a path or a spec object")
+    config = _from_doc(ExperimentConfig, doc, "config", instance)
     report = run_experiment(config)
     emit_report(report, args.out, format="csv")
     if args.json:
@@ -248,7 +247,7 @@ def build_parser():
     p.add_argument("--budget", type=float, required=True,
                    help="stooge count (continuous methods use half in l1)")
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=0.8)
+    p.add_argument("--phi", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--c", type=float, default=None,
                    help="huber tuning constant (default: picked by find_c)")
@@ -268,13 +267,14 @@ def build_parser():
     _add_instance_args(p)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=0.8)
+    p.add_argument("--phi", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--max-budget", dest="max_budget", type=float,
-                   default=None)
-    p.add_argument("--resolution", type=float, default=0.25)
+                   default=None, help="search cap in stooges (default n)")
+    p.add_argument("--resolution", type=float, default=0.5,
+                   help="continuous search resolution in stooges")
     p.set_defaults(func=_cmd_flip)
 
     p = sub.add_parser("bench", help="run an experiment config file")

@@ -79,9 +79,9 @@ class EquilibriumOperator:
     Raises SolverError naming the offending nodes when X is singular.
     Dense systems are LU-factored here; `solve` and `solve_T` then reuse
     the factor. Sparse systems are solved by GMRES(GMRES_RESTART) to the
-    relative residual tol, with at most about 10 * n iterations; tol
-    applies to GMRES only. Either solve raises SolverError when its
-    residual is not finite or exceeds 1e-6 * max(1, ||rhs||).
+    relative residual DEFAULT_TOL, with at most about 10 * n iterations.
+    Either solve raises SolverError when its residual is not finite or
+    exceeds 1e-6 * max(1, ||rhs||).
     """
 
     def __init__(self, instance, alpha=None):
@@ -98,15 +98,15 @@ class EquilibriumOperator:
             self._lu = None
         self._XT = None  # CSR copy of X^T, made by the first sparse solve_T
 
-    def solve(self, b, tol=DEFAULT_TOL):
+    def solve(self, b):
         """x with X x = b."""
-        return self._solve(b, False, tol)[0]
+        return self._solve(b, False)[0]
 
-    def solve_T(self, v, tol=DEFAULT_TOL):
+    def solve_T(self, v):
         """z with X^T z = v."""
-        return self._solve(v, True, tol)[0]
+        return self._solve(v, True)[0]
 
-    def _solve(self, rhs, transpose, tol):
+    def _solve(self, rhs, transpose):
         """(solution, residual, GMRES iterations, converged)."""
         rhs = np.asarray(rhs, dtype=float)
         if self._lu is not None:
@@ -124,7 +124,8 @@ class EquilibriumOperator:
             M = self._XT if transpose else self.X
             steps = []
             # maxiter counts restart cycles: about 10 n iterations in all
-            x, info = gmres(M, rhs, rtol=tol, atol=0.0, restart=GMRES_RESTART,
+            x, info = gmres(M, rhs, rtol=DEFAULT_TOL, atol=0.0,
+                            restart=GMRES_RESTART,
                             maxiter=10 * len(rhs) // GMRES_RESTART + 1,
                             callback=steps.append, callback_type="pr_norm")
             itn, converged = len(steps), info == 0
@@ -158,16 +159,16 @@ def _reject_singular(network, alpha):
                 f"have alpha = 0 and reach only each other")
 
 
-def equilibrium(instance, alpha=None, tol=DEFAULT_TOL):
+def equilibrium(instance, alpha=None):
     """Solve X x = A s for the equilibrium opinions.
 
     Factors X once (see EquilibriumOperator) and returns the operator on
-    the solution. Above DENSE_MAX_NODES, tol is the relative residual
-    GMRES aims for; the solve fails only if its residual exceeds
+    the solution. Above DENSE_MAX_NODES, DEFAULT_TOL is the relative
+    residual GMRES aims for; the solve fails only if its residual exceeds
     1e-6 * max(1, ||A s||). Raises SolverError.
     """
     op = EquilibriumOperator(instance, alpha)
-    x, residual, itn, converged = op._solve(op.b, False, tol)
+    x, residual, itn, converged = op._solve(op.b, False)
     return EquilibriumSolution(x, residual, itn, converged, op)
 
 

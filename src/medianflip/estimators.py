@@ -88,17 +88,16 @@ def default_c_grid():
     return np.logspace(-4, 0, 25)
 
 
-def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None,
-           uniform=False):
+def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None):
     """Pick the tuning constant whose M-estimate best tracks the median.
 
     Each trial perturbs every resistance and innate opinion by +-epsilon
-    (sign chosen at random; uniform=True draws from [-eps, eps] instead),
-    clamps to [0, 1], solves the equilibrium, and scores each candidate c
-    by |y_hat_c - median(x*)|. Returns the candidate with the smallest
-    trial-average error, ties broken toward the smaller c; errors within
-    TIE_RTOL relative of the smallest count as tied. Trials whose
-    equilibrium solve fails are skipped; all failing is an error.
+    (sign chosen at random), clamps to [0, 1], solves the equilibrium,
+    and scores each candidate c by |y_hat_c - median(x*)|. Returns the
+    candidate with the smallest trial-average error, ties broken toward
+    the smaller c; errors within TIE_RTOL relative of the smallest count
+    as tied. Trials whose equilibrium solve fails are skipped; all
+    failing is an error.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -114,12 +113,8 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None,
     used = 0
     for child_seed in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child_seed)
-        if uniform:
-            da = rng.uniform(-epsilon, epsilon, n)
-            ds = rng.uniform(-epsilon, epsilon, n)
-        else:
-            da = epsilon * rng.choice([-1.0, 1.0], size=n)
-            ds = epsilon * rng.choice([-1.0, 1.0], size=n)
+        da = epsilon * rng.choice([-1.0, 1.0], size=n)
+        ds = epsilon * rng.choice([-1.0, 1.0], size=n)
         alpha = np.clip(instance.alpha + da, 0.0, 1.0)
         s = np.clip(instance.s + ds, 0.0, 1.0)
         perturbed = instance.with_alpha(alpha).with_s(s)

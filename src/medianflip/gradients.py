@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DEFAULT_TOL, EquilibriumOperator, equilibrium
+from .equilibrium import equilibrium
 from .estimators import huber_m_estimate, sigmoid
 
 
@@ -35,28 +35,22 @@ class SigmoidGradient:
     x_star: np.ndarray
 
 
-def equilibrium_jacobian_action(instance, v, alpha=None, x_star=None,
-                                tol=DEFAULT_TOL, operator=None):
+def equilibrium_jacobian_action(instance, solution, v):
     """(dx*/dalpha)^T v = Diag(s - W x*) z where X^T z = v.
 
-    `operator` is the EquilibriumOperator of (instance, alpha), as found
-    on the EquilibriumSolution that gave x_star; without it X is
+    `solution` is the EquilibriumSolution that `equilibrium` returned
+    for x*; the adjoint solve reuses its operator, so X is never
     factored again.
     """
-    if x_star is None:
-        sol = equilibrium(instance, alpha=alpha, tol=tol)
-        x_star, operator = sol.x_star, sol.operator
     v = np.asarray(v, dtype=float)
     if not v.any():
         return np.zeros_like(v)
-    if operator is None:
-        operator = EquilibriumOperator(instance, alpha)
-    z = operator.solve_T(v, tol)
+    z = solution.operator.solve_T(v)
     W = instance.network.influence_matrix
-    return (instance.s - W @ x_star) * z
+    return (instance.s - W @ solution.x_star) * z
 
 
-def huber_gradient(instance, config, alpha=None, x_star=None):
+def huber_gradient(instance, config, alpha=None):
     """Gradient of y_hat(alpha) = argmin_y sum_i H_c(x*_i(alpha) - y).
 
     Membership set I = {i : |x*_i - y_hat| < c}. The formula averages the
@@ -64,10 +58,8 @@ def huber_gradient(instance, config, alpha=None, x_star=None):
     least c) is handled by doubling the radius until I is nonempty, with
     the number of doublings reported.
     """
-    operator = None
-    if x_star is None:
-        sol = equilibrium(instance, alpha=alpha)
-        x_star, operator = sol.x_star, sol.operator
+    sol = equilibrium(instance, alpha=alpha)
+    x_star = sol.x_star
     y_hat = huber_m_estimate(x_star, config)
     radius = config.c
     expansions = 0
@@ -77,23 +69,18 @@ def huber_gradient(instance, config, alpha=None, x_star=None):
         expansions += 1
         members = np.abs(x_star - y_hat) < radius
     grad = equilibrium_jacobian_action(
-        instance, members.astype(float), alpha=alpha, x_star=x_star,
-        operator=operator) / members.sum()
+        instance, sol, members.astype(float)) / members.sum()
     return HuberGradient(grad, y_hat, x_star, members, expansions)
 
 
-def sigmoid_gradient(instance, config, alpha=None, x_star=None):
+def sigmoid_gradient(instance, config, alpha=None):
     """Gradient of f(alpha) = sum_u sigmoid(tau * (x*_u - theta)).
 
     The pullback weight for node u is the sigmoid derivative
     tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
     """
-    operator = None
-    if x_star is None:
-        sol = equilibrium(instance, alpha=alpha)
-        x_star, operator = sol.x_star, sol.operator
-    sig = sigmoid(config.tau * (x_star - config.theta))
+    sol = equilibrium(instance, alpha=alpha)
+    sig = sigmoid(config.tau * (sol.x_star - config.theta))
     weights = config.tau * sig * (1.0 - sig)
-    grad = equilibrium_jacobian_action(instance, weights, alpha=alpha,
-                                       x_star=x_star, operator=operator)
-    return SigmoidGradient(grad, float(sig.sum()), x_star)
+    grad = equilibrium_jacobian_action(instance, sol, weights)
+    return SigmoidGradient(grad, float(sig.sum()), sol.x_star)

@@ -20,34 +20,35 @@ from .stats import median
 log = logging.getLogger(__name__)
 
 
+# score_total's per-node reward above 0.5 and its near-miss scale below
+MAX_SCORE = 10000.0
+NEAR_WEIGHT = 50.0
+
+
 @dataclass(frozen=True)
 class GainFunction:
     """Objective used for marginal gains: raw median or the score sum."""
 
     kind: str = "median"
-    max_score: float = 10000.0
-    near_weight: float = 50.0
 
     def __post_init__(self):
         if self.kind not in ("median", "score"):
             raise ValueError(f"unknown gain kind {self.kind!r}")
-        if self.max_score <= 0:
-            raise ValueError("max_score must be positive")
 
     def value(self, x):
         if self.kind == "median":
             return median(x)
-        return score_total(x, self.max_score, self.near_weight)
+        return score_total(x)
 
 
-def score_total(x, max_score=10000.0, near_weight=50.0):
-    """Sum of per-node scores: max_score above 0.5, and below it a
-    hyperbolic reward for closing the gap, capped at max_score / 2."""
+def score_total(x):
+    """Sum of per-node scores: MAX_SCORE above 0.5, and below it a
+    hyperbolic reward for closing the gap, capped at MAX_SCORE / 2."""
     x = np.asarray(x, dtype=float)
     above = x >= 0.5
-    out = np.full(x.shape, max_score)
+    out = np.full(x.shape, MAX_SCORE)
     gap = 0.5 - x[~above]
-    out[~above] = np.minimum(near_weight / gap, max_score / 2)
+    out[~above] = np.minimum(NEAR_WEIGHT / gap, MAX_SCORE / 2)
     return float(out.sum())
 
 
@@ -57,12 +58,11 @@ def _stooge_alpha(alpha, u, r):
     return out
 
 
-def marginal_gain(instance, u, r, gain=GainFunction(), base_value=None):
+def marginal_gain(instance, u, r, gain=GainFunction()):
     """Objective change from pinning node u's resistance to r."""
-    if base_value is None:
-        base_value = gain.value(equilibrium(instance).x_star)
+    base = gain.value(equilibrium(instance).x_star)
     x = equilibrium(instance, alpha=_stooge_alpha(instance.alpha, u, r)).x_star
-    return gain.value(x) - base_value
+    return gain.value(x) - base
 
 
 def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):

@@ -11,8 +11,6 @@ from .equilibrium import equilibrium
 from .network import Instance, build_network
 from .stats import mean, median
 
-FORMATS = ("canonical", "pair")
-
 
 class InstanceIOError(ValueError):
     pass
@@ -37,7 +35,9 @@ def save_instance(instance, path):
         fh.write(json.dumps(doc) + "\n")
 
 
-def _load_canonical(path):
+def load_instance(path):
+    """Instance from the canonical document that save_instance writes.
+    Edge-list and opinion file pairs are read by load_edge_list."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -129,24 +129,12 @@ def load_edge_list(edges_path, opinions_path, directed=False):
     return Instance(network, alpha, s)
 
 
-def load_instance(path, format="canonical", opinions=None, directed=False):
-    """Load an instance; format "pair" needs the opinions file path."""
-    if format == "canonical":
-        return _load_canonical(path)
-    if format == "pair":
-        if opinions is None:
-            raise InstanceIOError("format 'pair' requires an opinions path")
-        return load_edge_list(path, opinions, directed=directed)
-    raise InstanceIOError(f"unknown format {format!r}, expected {FORMATS}")
-
-
 InstanceStats = namedtuple("InstanceStats", "n m median mean")
 
 
-def instance_stats(instance, tol=None):
+def instance_stats(instance):
     """(n, m, equilibrium median, equilibrium mean) for an instance."""
-    kwargs = {} if tol is None else {"tol": tol}
-    x = equilibrium(instance, **kwargs).x_star
+    x = equilibrium(instance).x_star
     return InstanceStats(
         instance.network.node_count,
         instance.network.edge_count,

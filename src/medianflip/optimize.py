@@ -16,23 +16,25 @@ from .gradients import huber_gradient, sigmoid_gradient
 from .projection import project_l1_box
 from .stats import median
 
+# ADAM moment decay rates and denominator guard (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+# an ascent has converged once no resistance moves more than this per step
+CONVERGE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """ADAM step sizes, iteration caps, and the l1 budget."""
+    """ADAM step size, iteration cap, and the l1 budget."""
 
     budget_k: float
     eta: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
     max_iters: int = 500
-    converge_tol: float = 1e-6
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.budget_k < 0:
             raise ValueError(f"budget_k must be nonnegative, got {self.budget_k}")
 
@@ -61,6 +63,7 @@ class InterventionResult:
     converged: bool = True
     iterations: int = 0
     evals_per_iter: list = field(default_factory=list)
+    s_final: np.ndarray = None  # innate opinions, when the method moved them
 
 
 class AdamState:
@@ -72,14 +75,14 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(state, gradient, eta, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(state, gradient, eta):
     """One ascent step; returns the increment to add to alpha."""
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * gradient
-    state.v = beta2 * state.v + (1 - beta2) * gradient**2
-    m_hat = state.m / (1 - beta1**state.t)
-    v_hat = state.v / (1 - beta2**state.t)
-    return eta * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1 - BETA1) * gradient
+    state.v = BETA2 * state.v + (1 - BETA2) * gradient**2
+    m_hat = state.m / (1 - BETA1**state.t)
+    v_hat = state.v / (1 - BETA2**state.t)
+    return eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _stooge_view(alpha, alpha0, tol=1e-9):
@@ -121,11 +124,11 @@ def _ascend(instance, config, gradient_fn, theta):
         if true_med > best_median:
             best_median = true_med
             best_alpha = alpha.copy()
-        step = adam_step(state, grad, config.eta, config.beta1, config.beta2)
+        step = adam_step(state, grad, config.eta)
         new_alpha = project_l1_box(alpha + step, alpha0, k)
         drift = float(np.max(np.abs(new_alpha - alpha)))
         alpha = new_alpha
-        if drift < config.converge_tol:
+        if drift < CONVERGE_TOL:
             converged = True
             break
     # the final projected alpha has not been evaluated yet

@@ -74,7 +74,7 @@ class TestRunExperiment:
     def test_continuous_budget_reported_in_stooge_equivalents(self):
         inst = low_instance()
         config = ExperimentConfig(inst, methods=("sigmoid",), seeds=(0,),
-                                  resolution=0.25)
+                                  resolution=0.5)
         report = run_experiment(config)
         rec = report.records[0]
         if rec.error is None:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from medianflip import (
+    GeneratorSpec,
     Instance,
     build_network,
+    generate,
     instance_stats,
     load_instance,
     method_runner,
@@ -194,6 +196,24 @@ class TestOptimize:
         assert code == EXIT_INVALID
         assert "hierarchy" in capsys.readouterr().err
 
+    def test_out_keeps_the_opinions_tree_dp_pins(self, tmp_path, capsys):
+        path = tmp_path / "org.json"
+        out = tmp_path / "after.json"
+        inst = generate(GeneratorSpec("org_chart", dist="normal", seed=0,
+                                      params={"n": 60}))
+        save_instance(inst, path)
+        code = main(["optimize", "--instance", str(path),
+                     "--method", "tree-dp", "--mode", "opinion",
+                     "--budget", "60", "--out", str(out)])
+        assert code == EXIT_OK
+        stooges = [int(ln.split()[1])
+                   for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("stooge ")]
+        assert stooges
+        after = load_instance(out)
+        assert np.all(after.s[stooges] == 1.0)
+        assert np.array_equal(after.alpha, inst.alpha)
+
     def test_tree_dp_emits_resistance_listing(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         save_instance(hierarchy_instance(), path)
@@ -231,6 +251,20 @@ class TestFlip:
              if ln.startswith("percent_of_n")][0].split()[1]
         )
         assert percent == pytest.approx(100.0 * expected / 4, abs=0.01)
+
+    def test_max_budget_counts_stooges(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        save_instance(generate(GeneratorSpec(
+            "grid", dist="normal", seed=3, params={"rows": 6, "cols": 6})),
+            path)
+        for method in ("greedy", "sigmoid"):
+            code = main(["flip", "--instance", str(path), "--method", method,
+                         "--max-budget", "6"])
+            assert code == EXIT_OK
+            out = capsys.readouterr().out
+            found = [float(ln.split()[1]) for ln in out.splitlines()
+                     if ln.startswith("budget_to_flip")]
+            assert found == [] or found[0] <= 6, (method, out)
 
     def test_unflippable_reports_none(self, tmp_path, capsys):
         net = build_network(2, [(0, 1, 1.0)])
@@ -291,6 +325,23 @@ class TestBench:
         code = main(["bench", "--config", str(cfg),
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_INVALID
+
+    def test_unknown_keys_exit_invalid(self, tmp_path, capsys):
+        # "seed" for "seeds", "budgets" for "budget", and "n" outside
+        # the generator's "params"
+        cfg = self.write_config(tmp_path, seed=[0], budgets=3)
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "'budgets'" in err and "'seed'" in err
+        cfg = self.write_config(tmp_path, instance={
+            "topology": "star", "n": 10, "seed": 2})
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        assert "'n'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_json_exits_invalid(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -21,14 +21,16 @@ def test_action_with_full_resistance_is_diagonal():
     v = rng.normal(0, 1, 8)
     W = inst.network.influence_matrix
     expected = (inst.s - W @ inst.s) * v  # X = I when alpha = 1
-    out = equilibrium_jacobian_action(inst, v)
+    out = equilibrium_jacobian_action(inst, equilibrium(inst), v)
     assert np.allclose(out, expected, atol=1e-9)
 
 
 def test_action_of_zero_vector_is_zero():
     rng = np.random.default_rng(31)
     inst = random_connected_instance(rng, 6)
-    assert np.array_equal(equilibrium_jacobian_action(inst, np.zeros(6)), np.zeros(6))
+    assert np.array_equal(
+        equilibrium_jacobian_action(inst, equilibrium(inst), np.zeros(6)),
+        np.zeros(6))
 
 
 def test_action_matches_finite_differences():
@@ -38,7 +40,7 @@ def test_action_matches_finite_differences():
         i = int(rng.integers(0, 10))
         v = np.zeros(10)
         v[i] = 1.0
-        analytic = equilibrium_jacobian_action(inst, v)
+        analytic = equilibrium_jacobian_action(inst, equilibrium(inst), v)
         fd = fd_gradient(inst, lambda x: x[i])
         assert np.linalg.norm(analytic - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
@@ -75,7 +77,8 @@ def test_huber_gradient_constant_equilibrium_uses_all_members():
     inst = Instance(net, np.ones(3), np.full(3, 0.6))
     res = huber_gradient(inst, HuberConfig(c=0.1))
     assert res.members.all()
-    direct = equilibrium_jacobian_action(inst, np.ones(3) / 3, x_star=res.x_star)
+    direct = equilibrium_jacobian_action(inst, equilibrium(inst),
+                                         np.ones(3) / 3)
     assert np.allclose(res.gradient, direct, atol=1e-12)
 
 
@@ -119,15 +122,6 @@ def test_sigmoid_gradient_matches_finite_differences():
         assert rel <= 1e-3
 
 
-def test_gradients_reuse_supplied_equilibrium():
-    rng = np.random.default_rng(36)
-    inst = random_connected_instance(rng, 12)
-    x = equilibrium(inst).x_star
-    a = huber_gradient(inst, HuberConfig(0.2), x_star=x)
-    b = huber_gradient(inst, HuberConfig(0.2))
-    assert np.allclose(a.gradient, b.gradient, atol=1e-12)
-
-
 def test_action_on_iterative_side_matches_simulated_differences():
     # above DENSE_MAX_NODES the adjoint is a GMRES solve; check it against
     # central differences of the fixed-point iteration, not of a solver
@@ -138,8 +132,7 @@ def test_action_on_iterative_side_matches_simulated_differences():
     v = rng.normal(size=n)
     sol = equilibrium(inst)
     assert sol.iterations > 0
-    analytic = equilibrium_jacobian_action(inst, v, x_star=sol.x_star,
-                                           operator=sol.operator)
+    analytic = equilibrium_jacobian_action(inst, sol, v)
     h = 1e-5
     for u in rng.choice(n, 4, replace=False):
         up, dn = inst.alpha.copy(), inst.alpha.copy()
@@ -151,15 +144,13 @@ def test_action_on_iterative_side_matches_simulated_differences():
 
 
 def test_gradient_reuses_the_forward_factor(monkeypatch):
-    module = importlib.import_module("medianflip.gradients")
+    module = importlib.import_module("medianflip.equilibrium")
     built = []
     original = module.EquilibriumOperator
     monkeypatch.setattr(module, "EquilibriumOperator",
                         lambda *a: built.append(1) or original(*a))
     inst = random_connected_instance(np.random.default_rng(38), 12)
     huber_gradient(inst, HuberConfig(0.2))
-    sigmoid_gradient(inst, SigmoidConfig())
-    assert built == []
-    x = equilibrium(inst).x_star
-    huber_gradient(inst, HuberConfig(0.2), x_star=x)  # no operator to reuse
     assert built == [1]
+    sigmoid_gradient(inst, SigmoidConfig())
+    assert built == [1, 1]

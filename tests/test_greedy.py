@@ -40,8 +40,6 @@ def fig1_component():
 def test_gain_function_validation():
     with pytest.raises(ValueError):
         GainFunction(kind="mean")
-    with pytest.raises(ValueError):
-        GainFunction(max_score=0)
 
 
 def test_score_total_branches():

@@ -143,15 +143,6 @@ class TestEdgeListPair:
         with pytest.raises(InstanceIOError, match="duplicate"):
             load_edge_list(e, o)
 
-    def test_load_instance_dispatch(self, tmp_path):
-        e, o = self.write(tmp_path, "0 1\n", "0 0.1\n1 0.2\n")
-        inst = load_instance(e, format="pair", opinions=o)
-        assert inst.network.node_count == 2
-        with pytest.raises(InstanceIOError, match="requires"):
-            load_instance(e, format="pair")
-        with pytest.raises(InstanceIOError, match="unknown format"):
-            load_instance(e, format="csv")
-
 
 class TestInstanceStats:
     def test_single_node(self):

@@ -48,8 +48,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(budget_k=-1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(budget_k=1.0, eta=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(budget_k=1.0, beta1=1.0)
 
 
 def test_zero_budget_is_exact_no_op():
