@@ -42,6 +42,9 @@ def equilibrium_jacobian_action(instance, solution, v):
     for x*; the adjoint solve reuses its operator, so X is never
     factored again.
     """
+    if solution.operator is None:
+        raise ValueError("solution carries no factored operator; pass the "
+                         "EquilibriumSolution that equilibrium() returned")
     v = np.asarray(v, dtype=float)
     if not v.any():
         return np.zeros_like(v)

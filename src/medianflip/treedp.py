@@ -4,8 +4,13 @@ A hierarchy is a rooted directed tree with every arc pointing away from
 the root. Each node averages over its out-neighbors (its children), so
 opinions depend only on the subtree below and one bottom-up pass yields
 the equilibrium. The DP tracks, per node, the maximum achievable opinion
-for every (votes-in-subtree, stooge-cost) pair; children are merged with
-a two-dimensional knapsack over their tables.
+for every (votes-in-subtree, stooge-cost) pair in a dense float array,
+-inf where no assignment reaches the pair; children are merged with a
+two-dimensional max-plus knapsack over those arrays. Ties between equal
+opinions go to the pair a dict-of-tuples merge would meet first, so the
+tables and assignments do not depend on the array layout. Each table
+takes O(voters x total stooge cost) memory, so large integer costs
+widen every table.
 
 Leaf convention: a childless node keeps x = s regardless of resistance,
 since its expressed and innate opinions coincide at the fixed point.
@@ -150,70 +155,186 @@ class TreeDPResult:
     root_table: dict = None
 
 
+_NO_PAIR = np.iinfo(np.int64).max
+
+
+class _Table:
+    """Dense (votes, cost) table of maximum opinions, -inf where no
+    assignment reaches a cell, filled by relaxing candidate pairs.
+
+    Every pair that can reach a cell carries an integer key that orders
+    it as a dict merge would visit it. won[j, k] is the key of the pair
+    that set x[j, k]; among equal opinions the smaller key wins. The
+    smallest key of any pair reaching a cell is the cell's insertion
+    rank, which seal() turns into rank[j, k] (0, 1, ... over the reached
+    cells) and cells (their flat indices in rank order).
+    """
+
+    def __init__(self, rows, cols):
+        self.x = np.full((rows, cols), -np.inf)
+        self.won = np.zeros((rows, cols), dtype=np.int64)
+        self.first = np.full((rows, cols), _NO_PAIR)
+
+    def relax(self, j, k, cand, key, ok):
+        """Offer cand (keys key, reachable where ok) to the block of
+        cells whose corner is (j, k)."""
+        rows, cols = cand.shape
+        x = self.x[j:j + rows, k:k + cols]
+        won = self.won[j:j + rows, k:k + cols]
+        first = self.first[j:j + rows, k:k + cols]
+        better = cand > x
+        better |= (cand == x) & (key < won)
+        np.copyto(x, cand, where=better)
+        np.copyto(won, key, where=better)
+        np.minimum(first, key, out=first, where=ok)
+
+    def seal(self):
+        self.ok = np.isfinite(self.x)
+        reached = np.flatnonzero(self.ok)
+        self.cells = reached[np.argsort(self.first.ravel()[reached])]
+        self.rank = np.zeros(self.x.shape, dtype=np.int64)
+        self.rank.flat[self.cells] = np.arange(len(self.cells))
+        del self.first
+        return self
+
+
+def _empty_table():
+    """The table before any child is merged: one reached cell, (0, 0),
+    holding a child sum of 0."""
+    table = _Table(1, 1)
+    table.x[0, 0] = 0.0
+    table.first[0, 0] = 0
+    return table.seal()
+
+
+def _merge(acc, child, w):
+    """Max-plus convolution of the children merged so far with one more:
+    out[J + j, K + k] = max over pairs of acc[J, K] + w * child[j, k].
+
+    A pair's key is (acc rank) * (child cells) + (child rank), so ties
+    go to the acc cell inserted first, then the child cell. The loop
+    runs over the reached cells of the table with fewer of them, one
+    block update over the other table per cell.
+    """
+    wc = w * child.x
+    n_acc, n_child = len(acc.cells), len(child.cells)
+    out = _Table(acc.x.shape[0] + child.x.shape[0] - 1,
+                 acc.x.shape[1] + child.x.shape[1] - 1)
+    if n_acc <= n_child:
+        small, small_x, small_keys = acc, acc.x, np.arange(n_acc) * n_child
+        big, big_key, big_ok = wc, child.rank, child.ok
+    else:
+        small, small_x, small_keys = child, wc, np.arange(n_child)
+        big, big_key, big_ok = acc.x, acc.rank * n_child, acc.ok
+    cols = small.x.shape[1]
+    values = small_x.ravel()[small.cells]
+    for p, v, key in zip(small.cells.tolist(), values.tolist(),
+                         small_keys.tolist()):
+        j, k = divmod(p, cols)
+        out.relax(j, k, big + v, big_key + key, big_ok)
+    return out.seal()
+
+
+def _node_table(tree, u, acc, leaf, theta):
+    """u's table: every stooge option of _node_cases applied to every
+    reached cell of its merged children's table acc.
+
+    A pair's key is (case index) * (acc cells) + (acc rank). Unreachable
+    cells are masked before _combine, which would otherwise form
+    0 * -inf at alpha = 1.
+    """
+    vote = bool(tree.voting[u])
+    rows, cols = acc.x.shape
+    out = _Table(rows + vote, cols + int(tree.costs[u]))
+    sums = acc.x[acc.ok]
+    for case, (_, cost, a_eff, s_eff) in enumerate(_node_cases(tree, u)):
+        x = np.full(acc.x.shape, -np.inf)
+        x[acc.ok] = s_eff if leaf else _combine(tree, u, a_eff, s_eff, sums)
+        key = case * len(acc.cells) + acc.rank
+        lifted = (x > theta) & vote
+        stay = acc.ok & ~lifted
+        out.relax(0, cost, np.where(stay, x, -np.inf), key, stay)
+        if lifted.any():  # never when u does not vote: out has no row for it
+            out.relax(1, cost, np.where(lifted, x, -np.inf), key, lifted)
+    return out.seal()
+
+
 def tree_dp_min_stooges(tree, theta=0.5):
     """Minimum stooge cost making strictly more than half of the voting
     nodes exceed theta, with the realizing assignment.
 
-    dp[u][(j, k)] holds the maximum opinion of u over assignments in u's
-    subtree with exactly j voting subtree nodes above theta at cost k.
-    Keeping only the maximum opinion per (j, k) is lossless: opinions
-    propagate upward with nonnegative coefficients, so a higher child
-    opinion dominates at every ancestor and never costs votes.
+    Each node's table is a float array x[j, k] of shape (voting subtree
+    nodes + 1, subtree stooge cost + 1): the maximum opinion of u over
+    assignments in its subtree with exactly j voting subtree nodes above
+    theta at cost k, -inf where none exists. Keeping only the maximum
+    opinion per (j, k) is lossless: opinions propagate upward with
+    nonnegative coefficients, so a higher child opinion dominates at
+    every ancestor and never costs votes.
+
+    Children are merged in ascending id order by max-plus convolution,
+    then the node's stooge options are applied. Ties follow a dict merge
+    that visits the cells of each table in insertion order: among equal
+    opinions the pair met first wins, pairs being ordered by the ranks
+    of the cells they join (acc, then child; option, then acc), and a
+    cell's rank is that of the first pair that reached it. So the cost,
+    the assignment and root_table, a dict {(votes, cost): (x, label,
+    (J, K))} with (J, K) the merged children's cell, are those of the
+    dict-of-tuples merge bit for bit.
+
+    Memory is O(voters x total cost) per table, so large integer costs
+    widen every table along the cost axis.
     """
-    dp = {}
-    stages_by_node = {}
+    tables = {}
+    trail = {}
     for u in reversed(tree.order):
         kids, weights = tree.children(u)
-        stages = [{(0, 0): (0.0, None, None)}]
+        acc = _empty_table()
+        merges = []
         for c, w in zip(kids, weights):
-            merged = {}
-            for (J, K), (csum, _, _) in stages[-1].items():
-                for (j, k), (xc, _, _) in dp[c].items():
-                    key = (J + j, K + k)
-                    val = csum + w * xc
-                    if key not in merged or val > merged[key][0]:
-                        merged[key] = (val, (J, K), (j, k))
-            stages.append(merged)
-        stages_by_node[u] = stages
-        table = {}
-        for label, cost, a_eff, s_eff in _node_cases(tree, u):
-            for (J, K), (csum, _, _) in stages[-1].items():
-                if kids:
-                    x_u = _combine(tree, u, a_eff, s_eff, csum)
-                else:
-                    x_u = s_eff
-                vote = 1 if (tree.voting[u] and x_u > theta) else 0
-                key = (J + vote, K + cost)
-                if key not in table or x_u > table[key][0]:
-                    table[key] = (x_u, label, (J, K))
-        dp[u] = table
+            child = tables.pop(c)
+            acc = _merge(acc, child, w)
+            merges.append((c, child.cells, child.x.shape[1], acc.won))
+        tables[u] = _node_table(tree, u, acc, not kids, theta)
+        trail[u] = (tables[u].won, acc.cells, acc.x.shape[1], merges)
 
-    n_vote = int(tree.voting.sum())
-    need = n_vote // 2 + 1
-    root_table = dp[tree.root]
-    best_key = None
-    for (j, k) in sorted(root_table):
-        if j >= need and (best_key is None or k < best_key[1]):
-            best_key = (j, k)
-    if best_key is None:
+    def origin(u, p):
+        """Option index of u's winner at flat cell p (an int or an
+        array) and the (J, K) cell of the merged children it came from."""
+        won, acc_cells, acc_cols, _ = trail[u]
+        case, rank = np.divmod(won.flat[p], len(acc_cells))
+        return case, np.divmod(acc_cells[rank], acc_cols)
+
+    root = tables[tree.root]
+    labels = [option[0] for option in _node_cases(tree, tree.root)]
+    case, (J, K) = origin(tree.root, root.cells)
+    j, k = np.divmod(root.cells, root.x.shape[1])
+    root_table = {
+        (a, b): (x_u, labels[c], (A, B)) for a, b, x_u, c, A, B in zip(
+            j.tolist(), k.tolist(), root.x.flat[root.cells].tolist(),
+            case.tolist(), J.tolist(), K.tolist())}
+
+    need = int(tree.voting.sum()) // 2 + 1
+    majority = root.ok[need:]
+    costs = np.flatnonzero(majority.any(axis=0))
+    if not len(costs):
         return TreeDPResult(False, root_table=root_table)
+    best_k = int(costs[0])
+    best_j = need + int(np.argmax(majority[:, best_k]))
 
     assignment = {}
-
-    def backtrack(u, key):
-        x_u, label, cdp_key = dp[u][key]
+    stack = [(tree.root, best_j * root.x.shape[1] + best_k)]
+    while stack:
+        u, p = stack.pop()
+        case, (J, K) = origin(u, p)
+        label = _node_cases(tree, u)[case][0]
         if label != "keep":
             assignment[u] = label
-        stages = stages_by_node[u]
-        J, K = cdp_key
-        kids = tree.children(u)[0]
-        for i in range(len(kids), 0, -1):
-            _, prev_key, child_key = stages[i][(J, K)]
-            backtrack(kids[i - 1], child_key)
-            J, K = prev_key
-
-    backtrack(tree.root, best_key)
-    return TreeDPResult(True, int(best_key[1]), assignment, root_table)
+        *_, merges = trail[u]
+        for c, cells, cols, won in reversed(merges):
+            p = cells[won[J, K] % len(cells)]
+            stack.append((c, p))
+            J, K = J - p // cols, K - p % cols
+    return TreeDPResult(True, best_k, assignment, root_table)
 
 
 def apply_assignment(tree, assignment):

@@ -5,6 +5,7 @@ import numpy as np
 from medianflip import Instance, build_network
 from medianflip.equilibrium import equilibrium
 from medianflip.network import Network, NetworkError
+from medianflip.treedp import TreeDPResult, _combine, _node_cases
 
 
 def random_connected_instance(rng, n, extra_edge_prob=0.15,
@@ -291,3 +292,69 @@ def dict_loop_build_network(n, edges, directed=False, allow_self_loops=False):
     return Network(n, directed, np.array(src, dtype=int)[order],
                    np.array(dst, dtype=int)[order], np.array(wts)[order],
                    len(pairs))
+
+
+def dict_knapsack_tree_dp(tree, theta=0.5):
+    """Dict-of-tuples reference for tree_dp_min_stooges: the same root
+    table, cost and assignment, merged pair by pair in insertion order.
+
+    dp[u][(j, k)] holds the maximum opinion of u over assignments in u's
+    subtree with exactly j voting subtree nodes above theta at cost k.
+    Keeping only the maximum opinion per (j, k) is lossless: opinions
+    propagate upward with nonnegative coefficients, so a higher child
+    opinion dominates at every ancestor and never costs votes.
+    """
+    dp = {}
+    stages_by_node = {}
+    for u in reversed(tree.order):
+        kids, weights = tree.children(u)
+        stages = [{(0, 0): (0.0, None, None)}]
+        for c, w in zip(kids, weights):
+            merged = {}
+            for (J, K), (csum, _, _) in stages[-1].items():
+                for (j, k), (xc, _, _) in dp[c].items():
+                    key = (J + j, K + k)
+                    val = csum + w * xc
+                    if key not in merged or val > merged[key][0]:
+                        merged[key] = (val, (J, K), (j, k))
+            stages.append(merged)
+        stages_by_node[u] = stages
+        table = {}
+        for label, cost, a_eff, s_eff in _node_cases(tree, u):
+            for (J, K), (csum, _, _) in stages[-1].items():
+                if kids:
+                    x_u = _combine(tree, u, a_eff, s_eff, csum)
+                else:
+                    x_u = s_eff
+                vote = 1 if (tree.voting[u] and x_u > theta) else 0
+                key = (J + vote, K + cost)
+                if key not in table or x_u > table[key][0]:
+                    table[key] = (x_u, label, (J, K))
+        dp[u] = table
+
+    n_vote = int(tree.voting.sum())
+    need = n_vote // 2 + 1
+    root_table = dp[tree.root]
+    best_key = None
+    for (j, k) in sorted(root_table):
+        if j >= need and (best_key is None or k < best_key[1]):
+            best_key = (j, k)
+    if best_key is None:
+        return TreeDPResult(False, root_table=root_table)
+
+    assignment = {}
+
+    def backtrack(u, key):
+        x_u, label, cdp_key = dp[u][key]
+        if label != "keep":
+            assignment[u] = label
+        stages = stages_by_node[u]
+        J, K = cdp_key
+        kids = tree.children(u)[0]
+        for i in range(len(kids), 0, -1):
+            _, prev_key, child_key = stages[i][(J, K)]
+            backtrack(kids[i - 1], child_key)
+            J, K = prev_key
+
+    backtrack(tree.root, best_key)
+    return TreeDPResult(True, int(best_key[1]), assignment, root_table)

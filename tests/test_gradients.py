@@ -33,6 +33,13 @@ def test_action_of_zero_vector_is_zero():
         np.zeros(6))
 
 
+def test_action_rejects_solution_without_operator():
+    net = build_network(2, [(0, 1, 1.0)])
+    inst = Instance(net, np.array([0.5, 0.5]), np.array([0.2, 0.8]))
+    with pytest.raises(ValueError, match=r"equilibrium\(\)"):
+        equilibrium_jacobian_action(inst, simulate(inst), np.ones(2))
+
+
 def test_action_matches_finite_differences():
     rng = np.random.default_rng(32)
     for _ in range(5):

@@ -1,11 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network, equilibrium
+from medianflip import (
+    GeneratorSpec,
+    Instance,
+    build_network,
+    equilibrium,
+    generate,
+)
 from medianflip.greedy import lazy_greedy
 from medianflip.network import NetworkError
 from medianflip.stats import median
 from medianflip.treedp import (
+    MODES,
     TreeInstance,
     apply_assignment,
     brute_force_min_stooges,
@@ -13,6 +22,8 @@ from medianflip.treedp import (
     tree_dp_min_stooges,
     tree_equilibrium,
 )
+
+from helpers import dict_knapsack_tree_dp
 
 
 def tree_instance(edges, alpha, s, n=None, **kw):
@@ -37,6 +48,34 @@ def weigh_with_loops(rng, edges):
     loops = [(u, u, float(rng.uniform(0.25, 4.0)))
              for u in sorted({u for u, _ in edges}) if rng.random() < 0.5]
     return weighted + loops
+
+
+def relabelled_org_chart(seed, draw, n):
+    """Org chart number `draw`, its node ids permuted by a generator
+    seeded with (seed, draw)."""
+    inst = generate(GeneratorSpec("org_chart", dist="normal", seed=draw,
+                                  params={"n": n}))
+    net = inst.network
+    perm = np.random.default_rng([seed, draw]).permutation(n)
+    edges = [(int(perm[u]), int(perm[v]), float(w))
+             for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w)]
+    alpha, s = np.empty(n), np.empty(n)
+    alpha[perm], s[perm] = inst.alpha, inst.s
+    return Instance(build_network(n, edges, directed=True), alpha, s)
+
+
+def assert_matches_dict_dp(tree, theta):
+    dense = tree_dp_min_stooges(tree, theta=theta)
+    ref = dict_knapsack_tree_dp(tree, theta=theta)
+    assert type(dense.root_table) is dict
+    assert all(type(j) is int and type(k) is int
+               for j, k in dense.root_table)
+    assert dense.feasible == ref.feasible
+    assert dense.cost == ref.cost
+    assert dense.root_table == ref.root_table
+    # same insertion order: the ranks that break later ties are the dict's
+    assert list(dense.root_table) == list(ref.root_table)
+    assert dense.assignment == ref.assignment
 
 
 class TestIsHierarchy:
@@ -235,6 +274,55 @@ class TestTreeDP:
                 assert res.feasible and res.cost == bf_cost
                 checked += 1
         assert checked >= 20
+
+    def test_matches_dict_dp_on_weighted_trees(self):
+        # Tables, costs and assignments equal the dict-of-tuples merge's,
+        # tie-breaks included, over weights, self-loops, voting masks,
+        # integer costs, modes and thresholds.
+        rng = np.random.default_rng(808)
+        for trial in range(36):
+            n = int(rng.integers(2, 16))
+            edges = weigh_with_loops(rng, random_tree_edges(rng, n))
+            voting = rng.uniform(size=n) < 0.7
+            voting[0] = True
+            tree = tree_instance(edges, rng.uniform(0, 1, n),
+                                 rng.uniform(0, 1, n), voting=voting,
+                                 costs=rng.integers(1, 6, n),
+                                 mode=MODES[trial % 3])
+            assert_matches_dict_dp(tree, theta=(0.3, 0.5)[trial % 2])
+
+    def test_matches_dict_dp_where_opinions_tie(self):
+        # Unit weights and a few opinion and resistance levels make many
+        # pairs reach a cell with the same opinion, so the tie rule picks
+        # the assignment.
+        rng = np.random.default_rng(809)
+        for trial in range(36):
+            n = int(rng.integers(4, 16))
+            tree = tree_instance(random_tree_edges(rng, n),
+                                 rng.choice([0.25, 0.5, 0.75], n),
+                                 rng.choice([0.2, 0.4, 0.6, 0.8], n),
+                                 mode=MODES[trial % 3])
+            assert_matches_dict_dp(tree, theta=0.5)
+
+    def test_matches_dict_dp_on_relabelled_org_charts(self):
+        for draw in range(16):
+            tree = TreeInstance(relabelled_org_chart(0, draw, 60),
+                                mode=MODES[draw % 3])
+            assert_matches_dict_dp(tree, theta=0.5)
+
+    def test_no_floating_point_warnings(self):
+        # Node 0 has alpha = 1, node 1 alpha = 0; leaf 3 sits above theta,
+        # so (0 votes, cost 0) is unreachable in its table and in node
+        # 1's merged children's table.
+        for mode in MODES:
+            tree = tree_instance([(0, 1), (0, 2), (1, 3)],
+                                 [1.0, 0.0, 0.5, 0.5], [0.2, 0.4, 0.1, 0.9],
+                                 costs=np.array([1, 2, 1, 3]), mode=mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = tree_dp_min_stooges(tree)
+            assert (0, 0) not in res.root_table
+            assert_matches_dict_dp(tree, theta=0.5)
 
     def test_theta_parameter_respected(self):
         tree = tree_instance([(0, 1)], [0.5, 0.5], [0.1, 0.35])
