@@ -13,8 +13,9 @@ radius).
 import json
 import logging
 import time
+import weakref
 from csv import writer as csv_writer
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .optimize import (
     projected_huber,
     sigmoid_gd,
 )
-from .stats import median
 from .treedp import (
     TreeInstance,
     apply_assignment,
@@ -107,7 +107,6 @@ class RunRecord:
     final_median: float = None
     runtime_ms: float = None
     stooges: tuple = ()
-    trace: list = field(default_factory=list)
     error: str = None
 
 
@@ -118,28 +117,21 @@ class ExperimentReport:
 
 
 def _tree_dp_runner(instance, budget, theta, mode):
+    """The DP's assignment, or none when it is infeasible or over budget;
+    flipped means the DP's strict majority, never met by no stooges."""
     tree = TreeInstance(instance, mode=mode)
     res = tree_dp_min_stooges(tree, theta=theta)
-    if not res.feasible or res.cost > budget:
-        x = tree_equilibrium(tree)
-        return InterventionResult(
-            alpha_final=instance.alpha.copy(), stooges={},
-            l0_budget_used=0, l1_budget_used=0.0,
-            final_median=median(x), flipped=False, converged=True,
-        )
-    alpha, s = apply_assignment(tree, res.assignment)
-    x = tree_equilibrium(tree, alpha=alpha, s=s)
+    fits = res.feasible and res.cost <= budget
+    assignment = res.assignment if fits else {}
+    alpha, s = apply_assignment(tree, assignment)
     stooges = {
         u: (0.0 if label == "alpha0" else 1.0)
-        for u, label in res.assignment.items()
+        for u, label in assignment.items()
     }
-    med = median(x)
-    return InterventionResult(
-        alpha_final=alpha, stooges=stooges, l0_budget_used=res.cost,
-        l1_budget_used=float(np.abs(alpha - instance.alpha).sum()),
-        final_median=med, flipped=med > theta, converged=True,
-        s_final=None if np.array_equal(s, instance.s) else s,
-    )
+    result = InterventionResult.of(
+        instance, alpha, tree_equilibrium(tree, alpha=alpha, s=s), theta,
+        stooges, s=s)
+    return result if fits else replace(result, flipped=False)
 
 
 def method_runner(method, theta=0.5, seed=None, params=None):
@@ -151,7 +143,7 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     params = dict(params or {})
-    c_cache = {}
+    c_cache = weakref.WeakKeyDictionary()
 
     def opt_config(budget):
         keys = ("eta", "max_iters")
@@ -162,10 +154,9 @@ def method_runner(method, theta=0.5, seed=None, params=None):
         if method == "huber":
             c = params.get("c")
             if c is None:
-                key = id(instance)
-                if key not in c_cache:
-                    c_cache[key] = find_c(instance, seed=seed)
-                c = c_cache[key]
+                if instance not in c_cache:
+                    c_cache[instance] = find_c(instance, seed=seed)
+                c = c_cache[instance]
             huber = HuberConfig(c=c)
             return projected_huber(instance, opt_config(budget), huber,
                                    theta=theta)
@@ -213,7 +204,7 @@ def flip_budget(instance, method, runner, theta, max_budget, resolution):
 
 
 def _stooge_set(method, result, instance, k_equivalent):
-    if method in CONTINUOUS_METHODS:
+    if method in CONTINUOUS_METHODS and k_equivalent > 0:
         k = max(1, int(np.ceil(k_equivalent)))
         return tuple(sorted(round_to_stooges(result.alpha_final,
                                              instance.alpha, k)))
@@ -221,6 +212,8 @@ def _stooge_set(method, result, instance, k_equivalent):
 
 
 def _run_one(config, method, seed):
+    """Record the runner's answer at the fixed budget, or the one the
+    flip search met at the budget it found; runtime_ms times that work."""
     instance = config.instance
     n = instance.network.node_count
     record = RunRecord(
@@ -229,37 +222,36 @@ def _run_one(config, method, seed):
     )
     runner = stooge_runner(method, theta=config.theta, seed=seed,
                            params=config.method_params.get(method))
+    answers = {}
+
+    def recording(inst, budget):
+        answers[budget] = runner(inst, budget)
+        return answers[budget]
+
     try:
+        start = time.perf_counter()
         if config.budget is None:
-            start = time.perf_counter()
-            found = flip_budget(instance, method, runner, theta=config.theta,
-                                max_budget=config.max_budget,
-                                resolution=config.resolution)
-            if found is None:
-                record.runtime_ms = 1e3 * (time.perf_counter() - start)
-                record.error = "no flipping budget up to max_budget"
-                return record
-            result = runner(instance, found) if found > 0 else None
-            record.runtime_ms = 1e3 * (time.perf_counter() - start)
-            record.budget = float(found)
+            budget = flip_budget(instance, method, recording,
+                                 theta=config.theta,
+                                 max_budget=config.max_budget,
+                                 resolution=config.resolution)
         else:
-            start = time.perf_counter()
-            result = (runner(instance, config.budget) if config.budget > 0
-                      else None)
-            record.runtime_ms = 1e3 * (time.perf_counter() - start)
-            record.budget = float(config.budget)
-        record.percent_of_n = 100.0 * record.budget / n
-        if result is None:
-            x = equilibrium(instance).x_star
-            record.final_median = median(x)
-            record.flipped = record.final_median > config.theta
-            record.l0_used, record.l1_used = 0, 0.0
+            budget = config.budget
+            if budget > 0:
+                recording(instance, budget)
+        record.runtime_ms = 1e3 * (time.perf_counter() - start)
+        if budget is None:
+            record.error = "no flipping budget up to max_budget"
             return record
+        result = answers[budget] if budget > 0 else InterventionResult.of(
+            instance, instance.alpha, equilibrium(instance).x_star,
+            config.theta, {})
+        record.budget = float(budget)
+        record.percent_of_n = 100.0 * record.budget / n
         record.l1_used = float(result.l1_budget_used)
         record.l0_used = int(result.l0_budget_used)
         record.flipped = bool(result.flipped)
         record.final_median = float(result.final_median)
-        record.trace = list(result.objective_trace)
         record.stooges = _stooge_set(method, result, instance, record.budget)
     except (SolverError, NetworkError, RuntimeError, ValueError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
@@ -329,12 +321,11 @@ def emit_report(report, path, format="csv"):
     raise ValueError(f"unknown report format {format!r}")
 
 
-def compare_stooges(report, methods=None):
+def compare_stooges(report):
     """Pairwise Jaccard similarity of stooge sets, averaged over the
     seeds each method pair shares."""
     records = [r for r in report.records if r.error is None]
-    if methods is None:
-        methods = sorted({r.method for r in records})
+    methods = sorted({r.method for r in records})
     by_key = {(r.method, r.seed): set(r.stooges) for r in records}
     for (method, seed), stooges in by_key.items():
         if not stooges:
@@ -353,4 +344,4 @@ def compare_stooges(report, methods=None):
                 raise ValueError(f"no shared seeds for {a} and {b}")
             vals = [jaccard(by_key[(a, s)], by_key[(b, s)]) for s in seeds]
             matrix[i, j] = matrix[j, i] = float(np.mean(vals))
-    return matrix, list(methods)
+    return matrix, methods

@@ -33,6 +33,7 @@ from .instance_io import (
     save_instance,
 )
 from .network import NetworkError
+from .treedp import MODES
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -99,10 +100,24 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+def _add_method_args(parser):
+    add = parser.add_argument
+    add("--method", required=True, choices=METHODS)
+    add("--theta", type=float, default=0.5)
+    add("--seed", type=int, default=None)
+    add("--phi", type=float, default=None)
+    add("--c", type=float, default=None,
+        help="huber tuning constant (default: picked by find_c)")
+    add("--tau", type=float, default=None)
+    add("--eta", type=float, default=None)
+    add("--max-iters", dest="max_iters", type=int, default=None)
+    add("--mode", default=None, choices=MODES, help="tree-dp stooge mode")
+
+
 def _method_params(args):
     params = {}
     for name in ("phi", "c", "tau", "eta", "max_iters", "mode"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             params[name] = value
     return params
@@ -243,20 +258,9 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="run one method at one budget")
     _add_instance_args(p)
-    p.add_argument("--method", required=True, choices=METHODS)
+    _add_method_args(p)
     p.add_argument("--budget", type=float, required=True,
                    help="stooge count (continuous methods use half in l1)")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--c", type=float, default=None,
-                   help="huber tuning constant (default: picked by find_c)")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--mode", default=None,
-                   choices=("resistance", "opinion", "both"),
-                   help="tree-dp stooge mode")
     p.add_argument("--trace", default=None,
                    help="write the objective trace CSV here")
     p.add_argument("--out", default=None,
@@ -265,12 +269,7 @@ def build_parser():
 
     p = sub.add_parser("flip", help="search the smallest flipping budget")
     _add_instance_args(p)
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    _add_method_args(p)
     p.add_argument("--max-budget", dest="max_budget", type=float,
                    default=None, help="search cap in stooges (default n)")
     p.add_argument("--resolution", type=float, default=0.5,

@@ -32,6 +32,8 @@ DEFAULT_PARAMS = {
 }
 
 GNP_RETRY_CAP = 100
+# redraw rounds before rejection sampling of opinions gives up
+TRUNCATION_ROUNDS = 1000
 
 
 @dataclass
@@ -226,11 +228,11 @@ def generate_network(topology, params, rng):
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def _truncated(rng, n, draw, cap=1000):
+def _truncated(n, draw):
     """Sample with rejection until all values land in [0, 1]; avoids the
     boundary atoms that clamping would create."""
     x = draw(n)
-    for _ in range(cap):
+    for _ in range(TRUNCATION_ROUNDS):
         bad = (x < 0.0) | (x > 1.0)
         if not bad.any():
             return x
@@ -242,13 +244,11 @@ def sample_opinions(dist, n, rng, opinion_file=None):
     """Opinion vector per distribution; normal / lognormal target mean
     0.45 and standard deviation 0.1 before truncation to [0, 1]."""
     if dist == "normal":
-        return _truncated(rng, n, lambda k: rng.normal(0.45, 0.1, k))
+        return _truncated(n, lambda k: rng.normal(0.45, 0.1, k))
     if dist == "lognormal":
         sigma2 = np.log(1.0 + (0.1 / 0.45) ** 2)
         mu = np.log(0.45) - sigma2 / 2.0
-        return _truncated(
-            rng, n, lambda k: rng.lognormal(mu, np.sqrt(sigma2), k)
-        )
+        return _truncated(n, lambda k: rng.lognormal(mu, np.sqrt(sigma2), k))
     if dist == "bimodal":
         return np.where(rng.random(n) < 0.5, 0.35, 0.55)
     if dist == "file":

@@ -83,8 +83,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
     if k > instance.node_count:
         raise ValueError(f"k={k} exceeds node count {instance.node_count}")
-    alpha0 = instance.alpha
-    alpha = alpha0.copy()
+    alpha = instance.alpha.copy()
     stored = {(u, r): np.inf for u in range(instance.node_count) for r in (0.0, 1.0)}
     chosen = {}
     evals_per_iter = []
@@ -99,11 +98,12 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
             if phi != 0 and best is not None and phi * best[0] >= stored[(u, r)]:
                 break
             try:
-                x = equilibrium(instance, alpha=_stooge_alpha(alpha, u, r)).x_star
+                x_try = equilibrium(instance,
+                                    alpha=_stooge_alpha(alpha, u, r)).x_star
             except SolverError:
                 stored[(u, r)] = -np.inf
                 continue
-            g = gain.value(x) - current
+            g = gain.value(x_try) - current
             stored[(u, r)] = g
             evals += 1
             if best is None or (g, -u, r) > (best[0], -best[1], best[2]):
@@ -119,17 +119,10 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
         x = equilibrium(instance, alpha=alpha).x_star
         current = gain.value(x)
         current_median = median(x)
-    final_median = current_median
-    return InterventionResult(
-        alpha_final=alpha,
-        stooges=dict(chosen),  # insertion order is the commit order
-        l0_budget_used=int(np.sum(alpha != alpha0)),
-        l1_budget_used=float(np.abs(alpha - alpha0).sum()),
-        final_median=final_median,
-        flipped=final_median > theta,
-        iterations=len(evals_per_iter),
-        evals_per_iter=evals_per_iter,
-    )
+    # insertion order of chosen is the commit order
+    return InterventionResult.of(instance, alpha, x, theta, chosen,
+                                 iterations=len(evals_per_iter),
+                                 evals_per_iter=evals_per_iter)
 
 
 def betweenness(network):
@@ -197,15 +190,8 @@ def baseline_select(instance, k, kind, theta=0.5, seed=None):
         alpha[u] = r
         stooges[u] = r
     x = equilibrium(instance, alpha=alpha).x_star
-    final_median = median(x)
-    return InterventionResult(
-        alpha_final=alpha,
-        stooges=stooges,  # selection order preserved
-        l0_budget_used=int(np.sum(alpha != instance.alpha)),
-        l1_budget_used=float(np.abs(alpha - instance.alpha).sum()),
-        final_median=final_median,
-        flipped=final_median > theta,
-    )
+    # insertion order of stooges is the selection order
+    return InterventionResult.of(instance, alpha, x, theta, stooges)
 
 
 def round_to_stooges(alpha, alpha0, k):

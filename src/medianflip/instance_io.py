@@ -46,8 +46,12 @@ def load_instance(path):
     missing = {"n", "directed", "edges", "alpha", "s"} - set(doc)
     if missing:
         raise InstanceIOError(f"{path}: missing fields {sorted(missing)}")
-    network = build_network(int(doc["n"]), doc["edges"],
-                            directed=bool(doc["directed"]),
+    n, directed = doc["n"], doc["directed"]
+    if not isinstance(directed, bool):
+        raise InstanceIOError(f"{path}: 'directed' is not a boolean")
+    if type(n) not in (int, float) or n % 1:  # bool, NaN and 3.9 fail
+        raise InstanceIOError(f"{path}: 'n' is not an integer: {n!r}")
+    network = build_network(int(n), doc["edges"], directed=directed,
                             allow_self_loops=True)
     return Instance(network, np.asarray(doc["alpha"], dtype=float),
                     np.asarray(doc["s"], dtype=float))

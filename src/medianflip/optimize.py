@@ -22,6 +22,8 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 # an ascent has converged once no resistance moves more than this per step
 CONVERGE_TOL = 1e-6
+# a node whose resistance moved by more than this is a stooge
+STOOGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,23 @@ class InterventionResult:
     evals_per_iter: list = field(default_factory=list)
     s_final: np.ndarray = None  # innate opinions, when the method moved them
 
+    @classmethod
+    def of(cls, instance, alpha, x, theta, stooges, s=None, **diagnostics):
+        """Result of moving instance to alpha (and opinions s) with
+        equilibrium x. l0 counts the nodes whose resistance moved by more
+        than STOOGE_TOL or whose opinion moved."""
+        shift = np.abs(alpha - instance.alpha)
+        moved = shift > STOOGE_TOL
+        if s is not None and not np.array_equal(s, instance.s):
+            moved |= s != instance.s
+        else:
+            s = None
+        med = median(x)
+        return cls(alpha_final=alpha, stooges=stooges,
+                   l0_budget_used=int(moved.sum()),
+                   l1_budget_used=float(shift.sum()), final_median=med,
+                   flipped=med > theta, s_final=s, **diagnostics)
+
 
 class AdamState:
     """First/second moment accumulators with bias correction."""
@@ -85,34 +104,21 @@ def adam_step(state, gradient, eta):
     return eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _stooge_view(alpha, alpha0, tol=1e-9):
+def _stooge_view(alpha, alpha0):
     return {
         int(u): float(alpha[u])
-        for u in np.nonzero(np.abs(alpha - alpha0) > tol)[0]
+        for u in np.nonzero(np.abs(alpha - alpha0) > STOOGE_TOL)[0]
     }
 
 
 def _ascend(instance, config, gradient_fn, theta):
     """Shared projected-ascent loop; gradient_fn(alpha) -> (grad, surrogate, x*)."""
     alpha0 = instance.alpha
-    n = instance.node_count
     k = config.budget_k
-    if k == 0:
-        x = equilibrium(instance).x_star
-        med = median(x)
-        return InterventionResult(
-            alpha_final=alpha0.copy(),
-            stooges={},
-            l0_budget_used=0,
-            l1_budget_used=0.0,
-            final_median=med,
-            flipped=med > theta,
-        )
-
     alpha = alpha0.copy()
-    state = AdamState(n)
+    state = AdamState(instance.node_count)
     trace = []
-    best_alpha, best_median = alpha0.copy(), -np.inf
+    best_alpha, best_x, best_median = alpha0.copy(), None, -np.inf
     converged = False
     it = 0
     while it < config.max_iters:
@@ -123,7 +129,7 @@ def _ascend(instance, config, gradient_fn, theta):
                                 float(np.abs(alpha - alpha0).sum())))
         if true_med > best_median:
             best_median = true_med
-            best_alpha = alpha.copy()
+            best_alpha, best_x = alpha.copy(), x_star
         step = adam_step(state, grad, config.eta)
         new_alpha = project_l1_box(alpha + step, alpha0, k)
         drift = float(np.max(np.abs(new_alpha - alpha)))
@@ -132,20 +138,13 @@ def _ascend(instance, config, gradient_fn, theta):
             converged = True
             break
     # the final projected alpha has not been evaluated yet
-    final_med = median(equilibrium(instance, alpha=alpha).x_star)
-    if final_med > best_median:
-        best_median = final_med
-        best_alpha = alpha.copy()
-    return InterventionResult(
-        alpha_final=best_alpha,
-        stooges=_stooge_view(best_alpha, alpha0),
-        l0_budget_used=int(np.sum(np.abs(best_alpha - alpha0) > 1e-9)),
-        l1_budget_used=float(np.abs(best_alpha - alpha0).sum()),
-        final_median=best_median,
-        flipped=best_median > theta,
-        objective_trace=trace,
-        converged=converged,
-        iterations=it,
+    x_star = equilibrium(instance, alpha=alpha).x_star
+    if median(x_star) > best_median:
+        best_alpha, best_x = alpha.copy(), x_star
+    return InterventionResult.of(
+        instance, best_alpha, best_x, theta,
+        _stooge_view(best_alpha, alpha0),
+        objective_trace=trace, converged=converged, iterations=it,
     )
 
 
@@ -159,13 +158,12 @@ def projected_huber(instance, config, huber, theta=0.5):
     return _ascend(instance, config, grad_fn, theta)
 
 
-def sigmoid_gd(instance, config, sig, theta=None):
-    """Gradient ascent on the sigmoid count of nodes above the threshold."""
-    if theta is None:
-        theta = sig.theta
+def sigmoid_gd(instance, config, sig):
+    """Gradient ascent on the sigmoid count of nodes above the threshold
+    sig.theta, which is also the flip threshold."""
 
     def grad_fn(alpha):
         res = sigmoid_gradient(instance, sig, alpha=alpha)
         return res.gradient, res.objective, res.x_star
 
-    return _ascend(instance, config, grad_fn, theta)
+    return _ascend(instance, config, grad_fn, sig.theta)

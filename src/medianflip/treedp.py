@@ -356,7 +356,12 @@ def apply_assignment(tree, assignment):
     return alpha, s
 
 
-def brute_force_min_stooges(tree, theta=0.5, max_n=12, batch=4096):
+# brute_force_min_stooges' node cap and combinations per batched pass
+BRUTE_FORCE_MAX_N = 12
+BRUTE_FORCE_BATCH = 4096
+
+
+def brute_force_min_stooges(tree, theta=0.5):
     """Exhaustive minimum-cost search, the oracle for the DP.
 
     Every per-node choice combination (keep / each stooge option) is
@@ -364,16 +369,17 @@ def brute_force_min_stooges(tree, theta=0.5, max_n=12, batch=4096):
     batched bottom-up pass; no DP machinery is reused.
     """
     n = tree.node_count
-    if n > max_n:
-        raise ValueError(f"brute force capped at {max_n} nodes, got {n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(
+            f"brute force capped at {BRUTE_FORCE_MAX_N} nodes, got {n}")
     cases = [_node_cases(tree, u) for u in range(n)]
     n_choices = [len(c) for c in cases]
     total = int(np.prod(n_choices))
     n_vote = int(tree.voting.sum())
     need = n_vote // 2 + 1
     best_cost, best_idx = None, None
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
+    for start in range(0, total, BRUTE_FORCE_BATCH):
+        idx = np.arange(start, min(start + BRUTE_FORCE_BATCH, total))
         digits = np.zeros((n, len(idx)), dtype=int)
         rem = idx.copy()
         for u in range(n):

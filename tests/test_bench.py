@@ -4,9 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network, equilibrium
+import medianflip.bench as bench
+from medianflip import (
+    GeneratorSpec,
+    Instance,
+    build_network,
+    equilibrium,
+    generate,
+)
 from medianflip.bench import (
+    CONTINUOUS_METHODS,
     CSV_COLUMNS,
+    METHODS,
     ExperimentConfig,
     ExperimentReport,
     RunRecord,
@@ -14,8 +23,9 @@ from medianflip.bench import (
     emit_report,
     method_runner,
     run_experiment,
+    stooge_runner,
 )
-from medianflip.greedy import min_budget_to_flip
+from medianflip.greedy import min_budget_to_flip, round_to_stooges
 from medianflip.stats import median
 
 from helpers import random_connected_instance
@@ -44,6 +54,23 @@ class TestConfigValidation:
     def test_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(low_instance(), methods=("greedy",), seeds=())
+
+
+class TestMethodRunner:
+    def test_find_c_once_per_live_instance(self, monkeypatch):
+        calls = []
+        real = bench.find_c
+        monkeypatch.setattr(bench, "find_c", lambda instance, seed: (
+            calls.append(seed), real(instance, seed=seed))[1])
+        runner = method_runner("huber", params={"max_iters": 1})
+        # each grid is dropped before the next is built, so a cache keyed
+        # on id() would hand a reused id the previous grid's c
+        for seed in range(40):
+            inst = generate(GeneratorSpec("grid", seed=seed,
+                                          params={"rows": 4, "cols": 4}))
+            runner(inst, 0.5)
+            runner(inst, 1.0)
+        assert len(calls) == 40
 
 
 class TestRunExperiment:
@@ -124,6 +151,106 @@ class TestRunExperiment:
         for ra, rb in zip(a.records, b.records):
             assert ra.stooges == rb.stooges
             assert ra.final_median == rb.final_median
+
+
+def ba_instance():
+    # opinions lifted by 0.03: every method flips, none at budget 0
+    g = generate(GeneratorSpec("ba", seed=0, params={"n": 12}))
+    return Instance(g.network, g.alpha, np.clip(g.s + 0.03, 0.0, 1.0))
+
+
+def counting(monkeypatch, name):
+    """Count the calls of bench.<name>; returns the list of budgets."""
+    calls = []
+    real = getattr(bench, name)
+
+    def counted(instance, k, *args, **kwargs):
+        calls.append(k)
+        return real(instance, k, *args, **kwargs)
+
+    monkeypatch.setattr(bench, name, counted)
+    return calls
+
+
+class TestSearchAnswers:
+    """A record is the answer its flip search already computed."""
+
+    @pytest.mark.parametrize("method,name", [
+        ("greedy", "lazy_greedy"), ("random", "baseline_select")])
+    def test_search_runs_each_budget_once(self, monkeypatch, method, name):
+        calls = counting(monkeypatch, name)
+        inst = ba_instance()
+        rec = run_experiment(ExperimentConfig(
+            inst, methods=(method,), seeds=(0,))).records[0]
+        assert rec.error is None and rec.budget > 0
+        # the linear scan tries k = 1..found, each once
+        assert calls == list(range(1, int(rec.budget) + 1))
+
+    def test_continuous_search_runs_each_budget_once(self, monkeypatch):
+        calls = counting(monkeypatch, "projected_huber")
+        rec = run_experiment(ExperimentConfig(
+            ba_instance(), methods=("huber",), seeds=(0,),
+            method_params={"huber": {"max_iters": 20}})).records[0]
+        radii = [config.budget_k for config in calls]
+        assert rec.flipped and rec.budget / 2 in radii
+        assert len(radii) == len(set(radii)) > 1
+
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_records_equal_direct_runs(self, budget):
+        inst = ba_instance()
+        methods = ("huber", "sigmoid", "greedy", "greedy-score", "random",
+                   "degree", "centrality")
+        params = {"huber": {"max_iters": 20}, "sigmoid": {"max_iters": 20}}
+        report = run_experiment(ExperimentConfig(
+            inst, methods=methods, seeds=(0, 1), budget=budget,
+            method_params=params))
+        for rec in report.records:
+            assert rec.error is None, rec
+            runner = stooge_runner(rec.method, theta=0.5, seed=rec.seed,
+                                   params=params.get(rec.method))
+            res = runner(inst, rec.budget)
+            if rec.method in CONTINUOUS_METHODS:
+                k = int(np.ceil(rec.budget))
+                stooges = round_to_stooges(res.alpha_final, inst.alpha, k)
+            else:
+                stooges = res.stooges
+            assert rec.final_median == res.final_median, rec
+            assert rec.stooges == tuple(sorted(stooges)), rec
+            assert rec.l0_used == res.l0_budget_used, rec
+            assert rec.l1_used == res.l1_budget_used, rec
+            assert rec.flipped == res.flipped, rec
+
+
+class TestResultAccounting:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_l0_and_l1_count_the_moves(self, method):
+        inst = generate(GeneratorSpec("org_chart", seed=0,
+                                      params={"n": 30}))
+        params = {"tree-dp": {"mode": "both"}, "huber": {"max_iters": 30},
+                  "sigmoid": {"max_iters": 30}}.get(method)
+        res = stooge_runner(method, theta=0.5, seed=0, params=params)(
+            inst, 6)
+        shift = np.abs(res.alpha_final - inst.alpha)
+        s = inst.s if res.s_final is None else res.s_final
+        moved = (shift > 1e-9) | (s != inst.s)
+        assert moved.any()
+        assert res.l1_budget_used == pytest.approx(shift.sum(), abs=1e-12)
+        assert res.l0_budget_used == int(moved.sum())
+        if method == "tree-dp":  # pins move opinions too in both mode
+            assert res.s_final is not None
+
+    def test_tree_dp_over_budget_is_not_flipped(self):
+        # root 0 over leaf 1: the upper median 0.9 is above theta, but
+        # the DP's strict majority needs the root pinned, at cost 1
+        net = build_network(2, [(0, 1, 1.0)], directed=True)
+        inst = Instance(net, np.full(2, 0.5), np.array([0.0, 0.9]))
+        runner = stooge_runner("tree-dp", theta=0.5, seed=0, params=None)
+        over = runner(inst, 0)
+        assert over.final_median > 0.5 and not over.flipped
+        assert over.stooges == {} and over.l0_budget_used == 0
+        assert over.l1_budget_used == 0.0
+        fits = runner(inst, 1)
+        assert fits.flipped and fits.l0_budget_used == 1
 
 
 class TestEmitReport:

@@ -17,6 +17,7 @@ from medianflip import (
     min_budget_to_flip,
     save_instance,
 )
+from medianflip.bench import flip_budget, stooge_runner
 from medianflip.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main, _parse_param
 from medianflip.equilibrium import SolverError
 
@@ -130,6 +131,20 @@ class TestSolve:
         code = main(["solve", "--instance", str(tmp_path / "absent.json")])
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("directed", "false"), ("directed", 0), ("n", 3.9), ("n", True),
+        ("n", "4")])
+    def test_mistyped_field_exits_invalid(self, tmp_path, capsys, key,
+                                          value):
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        code = main(["solve", "--instance", str(path)])
+        assert code == EXIT_INVALID
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_no_input_exits_invalid(self, capsys):
         code = main(["solve"])
@@ -265,6 +280,25 @@ class TestFlip:
             found = [float(ln.split()[1]) for ln in out.splitlines()
                      if ln.startswith("budget_to_flip")]
             assert found == [] or found[0] <= 6, (method, out)
+
+    def test_tree_dp_mode_reaches_the_search(self, tmp_path, capsys):
+        inst = generate(GeneratorSpec("org_chart", dist="normal", seed=0,
+                                      params={"n": 30}))
+        path = tmp_path / "org.json"
+        save_instance(inst, path)
+        runner = stooge_runner("tree-dp", theta=0.5, seed=None,
+                               params={"mode": "both"})
+        expected = flip_budget(inst, "tree-dp", runner, theta=0.5,
+                               max_budget=None, resolution=0.5)
+        assert expected is not None
+        code = main(["flip", "--instance", str(path), "--method", "tree-dp",
+                     "--mode", "both"])
+        assert code == EXIT_OK
+        assert f"budget_to_flip {float(expected):g}\n" in (
+            capsys.readouterr().out)
+        # resistance mode cannot flip this chart, so the mode was honoured
+        main(["flip", "--instance", str(path), "--method", "tree-dp"])
+        assert "no flipping budget" in capsys.readouterr().out
 
     def test_unflippable_reports_none(self, tmp_path, capsys):
         net = build_network(2, [(0, 1, 1.0)])

@@ -71,6 +71,13 @@ class TestCanonicalRoundTrip:
         with pytest.raises(InstanceIOError, match="missing fields"):
             load_instance(path)
 
+    def test_integral_float_node_count_accepted(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n": 2.0, "directed": false, "edges": [[0, 1, 1]],'
+                        ' "alpha": [0.5, 0.5], "s": [0.2, 0.8]}')
+        inst = load_instance(path)
+        assert inst.node_count == 2 and not inst.network.directed
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")

@@ -61,8 +61,11 @@ def test_zero_budget_is_exact_no_op():
         res = runner(inst, OptimizerConfig(budget_k=0.0), smooth)
         assert np.array_equal(res.alpha_final, inst.alpha)
         assert res.stooges == {}
-        assert res.l1_budget_used == 0.0
+        assert res.l1_budget_used == 0.0 and res.l0_budget_used == 0
         assert res.final_median == pytest.approx(base_median)
+        # the projection pins the first step to alpha0: one iteration
+        assert res.converged and res.iterations == 1
+        assert len(res.objective_trace) == 1
 
 
 def test_single_node_huber_saturates_budget():
