@@ -58,13 +58,6 @@ def _stooge_alpha(alpha, u, r):
     return out
 
 
-def marginal_gain(instance, u, r, gain=GainFunction()):
-    """Objective change from pinning node u's resistance to r."""
-    base = gain.value(equilibrium(instance).x_star)
-    x = equilibrium(instance, alpha=_stooge_alpha(instance.alpha, u, r)).x_star
-    return gain.value(x) - base
-
-
 def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
     """Select up to k stooges, one per iteration, by marginal gain.
 

@@ -6,11 +6,11 @@ opinions depend only on the subtree below and one bottom-up pass yields
 the equilibrium. The DP tracks, per node, the maximum achievable opinion
 for every (votes-in-subtree, stooge-cost) pair in a dense float array,
 -inf where no assignment reaches the pair; children are merged with a
-two-dimensional max-plus knapsack over those arrays. Ties between equal
-opinions go to the pair a dict-of-tuples merge would meet first, so the
-tables and assignments do not depend on the array layout. Each table
-takes O(voters x total stooge cost) memory, so large integer costs
-widen every table.
+two-dimensional max-plus knapsack over those arrays. The backtrack
+finds each winner again on the cells it follows; among equal opinions
+the smallest option index wins, then the child cell first in row-major
+order. Each table takes O(voters x total stooge cost) memory, so large
+integer costs widen every table.
 
 Leaf convention: a childless node keeps x = s regardless of resistance,
 since its expressed and innate opinions coincide at the fixed point.
@@ -155,108 +155,79 @@ class TreeDPResult:
     root_table: dict = None
 
 
-_NO_PAIR = np.iinfo(np.int64).max
-
-
-class _Table:
-    """Dense (votes, cost) table of maximum opinions, -inf where no
-    assignment reaches a cell, filled by relaxing candidate pairs.
-
-    Every pair that can reach a cell carries an integer key that orders
-    it as a dict merge would visit it. won[j, k] is the key of the pair
-    that set x[j, k]; among equal opinions the smaller key wins. The
-    smallest key of any pair reaching a cell is the cell's insertion
-    rank, which seal() turns into rank[j, k] (0, 1, ... over the reached
-    cells) and cells (their flat indices in rank order).
-    """
-
-    def __init__(self, rows, cols):
-        self.x = np.full((rows, cols), -np.inf)
-        self.won = np.zeros((rows, cols), dtype=np.int64)
-        self.first = np.full((rows, cols), _NO_PAIR)
-
-    def relax(self, j, k, cand, key, ok):
-        """Offer cand (keys key, reachable where ok) to the block of
-        cells whose corner is (j, k)."""
-        rows, cols = cand.shape
-        x = self.x[j:j + rows, k:k + cols]
-        won = self.won[j:j + rows, k:k + cols]
-        first = self.first[j:j + rows, k:k + cols]
-        better = cand > x
-        better |= (cand == x) & (key < won)
-        np.copyto(x, cand, where=better)
-        np.copyto(won, key, where=better)
-        np.minimum(first, key, out=first, where=ok)
-
-    def seal(self):
-        self.ok = np.isfinite(self.x)
-        reached = np.flatnonzero(self.ok)
-        self.cells = reached[np.argsort(self.first.ravel()[reached])]
-        self.rank = np.zeros(self.x.shape, dtype=np.int64)
-        self.rank.flat[self.cells] = np.arange(len(self.cells))
-        del self.first
-        return self
-
-
-def _empty_table():
-    """The table before any child is merged: one reached cell, (0, 0),
-    holding a child sum of 0."""
-    table = _Table(1, 1)
-    table.x[0, 0] = 0.0
-    table.first[0, 0] = 0
-    return table.seal()
-
-
 def _merge(acc, child, w):
     """Max-plus convolution of the children merged so far with one more:
     out[J + j, K + k] = max over pairs of acc[J, K] + w * child[j, k].
 
-    A pair's key is (acc rank) * (child cells) + (child rank), so ties
-    go to the acc cell inserted first, then the child cell. The loop
-    runs over the reached cells of the table with fewer of them, one
-    block update over the other table per cell.
+    The loop runs over the reached cells of the table with fewer of
+    them, one block update over the other table per cell.
     """
-    wc = w * child.x
-    n_acc, n_child = len(acc.cells), len(child.cells)
-    out = _Table(acc.x.shape[0] + child.x.shape[0] - 1,
-                 acc.x.shape[1] + child.x.shape[1] - 1)
-    if n_acc <= n_child:
-        small, small_x, small_keys = acc, acc.x, np.arange(n_acc) * n_child
-        big, big_key, big_ok = wc, child.rank, child.ok
-    else:
-        small, small_x, small_keys = child, wc, np.arange(n_child)
-        big, big_key, big_ok = acc.x, acc.rank * n_child, acc.ok
-    cols = small.x.shape[1]
-    values = small_x.ravel()[small.cells]
-    for p, v, key in zip(small.cells.tolist(), values.tolist(),
-                         small_keys.tolist()):
-        j, k = divmod(p, cols)
-        out.relax(j, k, big + v, big_key + key, big_ok)
-    return out.seal()
+    wc = w * child
+    out = np.full((acc.shape[0] + child.shape[0] - 1,
+                   acc.shape[1] + child.shape[1] - 1), -np.inf)
+    n_acc, n_child = np.isfinite(acc).sum(), np.isfinite(child).sum()
+    small, big = (acc, wc) if n_acc <= n_child else (wc, acc)
+    rows, cols = big.shape
+    js, ks = np.nonzero(np.isfinite(small))
+    for j, k, v in zip(js.tolist(), ks.tolist(), small[js, ks].tolist()):
+        block = out[j:j + rows, k:k + cols]
+        np.maximum(block, big + v, out=block)
+    return out
+
+
+def _options(tree, u, acc, leaf):
+    """(cost, opinion of u over acc's cells) per stooge option of
+    _node_cases, -inf where acc is unreached. Unreached cells are masked
+    before _combine, which would otherwise form 0 * -inf at alpha = 1."""
+    ok = np.isfinite(acc)
+    sums = acc[ok]
+    for _, cost, a_eff, s_eff in _node_cases(tree, u):
+        x = np.full(acc.shape, -np.inf)
+        x[ok] = s_eff if leaf else _combine(tree, u, a_eff, s_eff, sums)
+        yield cost, x
 
 
 def _node_table(tree, u, acc, leaf, theta):
-    """u's table: every stooge option of _node_cases applied to every
-    reached cell of its merged children's table acc.
-
-    A pair's key is (case index) * (acc cells) + (acc rank). Unreachable
-    cells are masked before _combine, which would otherwise form
-    0 * -inf at alpha = 1.
-    """
+    """u's table: every stooge option applied to every reached cell of
+    its merged children's table acc."""
     vote = bool(tree.voting[u])
-    rows, cols = acc.x.shape
-    out = _Table(rows + vote, cols + int(tree.costs[u]))
-    sums = acc.x[acc.ok]
-    for case, (_, cost, a_eff, s_eff) in enumerate(_node_cases(tree, u)):
-        x = np.full(acc.x.shape, -np.inf)
-        x[acc.ok] = s_eff if leaf else _combine(tree, u, a_eff, s_eff, sums)
-        key = case * len(acc.cells) + acc.rank
+    rows, cols = acc.shape
+    out = np.full((rows + vote, cols + int(tree.costs[u])), -np.inf)
+    for cost, x in _options(tree, u, acc, leaf):
         lifted = (x > theta) & vote
-        stay = acc.ok & ~lifted
-        out.relax(0, cost, np.where(stay, x, -np.inf), key, stay)
+        block = out[:rows, cost:cost + cols]
+        np.maximum(block, np.where(lifted, -np.inf, x), out=block)
         if lifted.any():  # never when u does not vote: out has no row for it
-            out.relax(1, cost, np.where(lifted, x, -np.inf), key, lifted)
-    return out.seal()
+            block = out[1:, cost:cost + cols]
+            np.maximum(block, np.where(lifted, x, -np.inf), out=block)
+    return out
+
+
+def _winning_option(tree, u, acc, leaf, theta, table, j, k):
+    """Option index of the first option that gives u's table its value
+    at (j, k), and the cell of acc it came from."""
+    target = table[j, k]
+    J = j - int(bool(tree.voting[u]) and target > theta)
+    for case, (cost, x) in enumerate(_options(tree, u, acc, leaf)):
+        K = k - cost
+        if 0 <= J < acc.shape[0] and 0 <= K < acc.shape[1] and \
+                x[J, K] == target:
+            return case, J, K
+    raise RuntimeError(f"no stooge option of node {u} gives cell {(j, k)}")
+
+
+def _winning_pair(prev, child, w, J, K, target):
+    """The child cell (a, b) first in row-major order with
+    prev[J - a, K - b] + w * child[a, b] == target."""
+    a0, a1 = max(0, J - prev.shape[0] + 1), min(child.shape[0], J + 1)
+    b0, b1 = max(0, K - prev.shape[1] + 1), min(child.shape[1], K + 1)
+    # prev's rows J - a and columns K - b for a, b ascending
+    flipped = prev[J - a1 + 1:J - a0 + 1, K - b1 + 1:K - b0 + 1][::-1, ::-1]
+    hits = np.flatnonzero(flipped + w * child[a0:a1, b0:b1] == target)
+    if not len(hits):
+        raise RuntimeError(f"no child cell gives merged cell {(J, K)}")
+    a, b = divmod(int(hits[0]), b1 - b0)
+    return a0 + a, b0 + b
 
 
 def tree_dp_min_stooges(tree, theta=0.5):
@@ -272,49 +243,32 @@ def tree_dp_min_stooges(tree, theta=0.5):
     every ancestor and never costs votes.
 
     Children are merged in ascending id order by max-plus convolution,
-    then the node's stooge options are applied. Ties follow a dict merge
-    that visits the cells of each table in insertion order: among equal
-    opinions the pair met first wins, pairs being ordered by the ranks
-    of the cells they join (acc, then child; option, then acc), and a
-    cell's rank is that of the first pair that reached it. So the cost,
-    the assignment and root_table, a dict {(votes, cost): (x, label,
-    (J, K))} with (J, K) the merged children's cell, are those of the
-    dict-of-tuples merge bit for bit.
+    then the node's stooge options are applied. The forward pass keeps
+    only opinions; the backtrack finds each winner again on the cells it
+    follows, by recomputing the candidates with the same float
+    expressions. Among equal opinions the option with the smallest
+    index wins, then the child cell first in row-major order. root_table
+    is a dict {(votes, cost): x} over the root's reached cells.
 
     Memory is O(voters x total cost) per table, so large integer costs
     widen every table along the cost axis.
     """
     tables = {}
-    trail = {}
+    merged = {}  # u -> prefix tables acc[0..m] of its merged children
     for u in reversed(tree.order):
         kids, weights = tree.children(u)
-        acc = _empty_table()
-        merges = []
+        accs = [np.zeros((1, 1))]
         for c, w in zip(kids, weights):
-            child = tables.pop(c)
-            acc = _merge(acc, child, w)
-            merges.append((c, child.cells, child.x.shape[1], acc.won))
-        tables[u] = _node_table(tree, u, acc, not kids, theta)
-        trail[u] = (tables[u].won, acc.cells, acc.x.shape[1], merges)
-
-    def origin(u, p):
-        """Option index of u's winner at flat cell p (an int or an
-        array) and the (J, K) cell of the merged children it came from."""
-        won, acc_cells, acc_cols, _ = trail[u]
-        case, rank = np.divmod(won.flat[p], len(acc_cells))
-        return case, np.divmod(acc_cells[rank], acc_cols)
+            accs.append(_merge(accs[-1], tables[c], w))
+        merged[u] = accs
+        tables[u] = _node_table(tree, u, accs[-1], not kids, theta)
 
     root = tables[tree.root]
-    labels = [option[0] for option in _node_cases(tree, tree.root)]
-    case, (J, K) = origin(tree.root, root.cells)
-    j, k = np.divmod(root.cells, root.x.shape[1])
-    root_table = {
-        (a, b): (x_u, labels[c], (A, B)) for a, b, x_u, c, A, B in zip(
-            j.tolist(), k.tolist(), root.x.flat[root.cells].tolist(),
-            case.tolist(), J.tolist(), K.tolist())}
+    j, k = np.nonzero(np.isfinite(root))
+    root_table = dict(zip(zip(j.tolist(), k.tolist()), root[j, k].tolist()))
 
     need = int(tree.voting.sum()) // 2 + 1
-    majority = root.ok[need:]
+    majority = np.isfinite(root[need:])
     costs = np.flatnonzero(majority.any(axis=0))
     if not len(costs):
         return TreeDPResult(False, root_table=root_table)
@@ -322,18 +276,22 @@ def tree_dp_min_stooges(tree, theta=0.5):
     best_j = need + int(np.argmax(majority[:, best_k]))
 
     assignment = {}
-    stack = [(tree.root, best_j * root.x.shape[1] + best_k)]
+    stack = [(tree.root, best_j, best_k)]
     while stack:
-        u, p = stack.pop()
-        case, (J, K) = origin(u, p)
+        u, j, k = stack.pop()
+        kids, weights = tree.children(u)
+        accs = merged[u]
+        case, J, K = _winning_option(tree, u, accs[-1], not kids, theta,
+                                     tables[u], j, k)
         label = _node_cases(tree, u)[case][0]
         if label != "keep":
             assignment[u] = label
-        *_, merges = trail[u]
-        for c, cells, cols, won in reversed(merges):
-            p = cells[won[J, K] % len(cells)]
-            stack.append((c, p))
-            J, K = J - p // cols, K - p % cols
+        for i in range(len(kids), 0, -1):
+            c = kids[i - 1]
+            a, b = _winning_pair(accs[i - 1], tables[c], weights[i - 1],
+                                 J, K, accs[i][J, K])
+            stack.append((c, a, b))
+            J, K = J - a, K - b
     return TreeDPResult(True, best_k, assignment, root_table)
 
 

@@ -296,13 +296,20 @@ def dict_loop_build_network(n, edges, directed=False, allow_self_loops=False):
 
 def dict_knapsack_tree_dp(tree, theta=0.5):
     """Dict-of-tuples reference for tree_dp_min_stooges: the same root
-    table, cost and assignment, merged pair by pair in insertion order.
+    table {(votes, cost): x}, cost and assignment, merged pair by pair
+    with a back pointer per cell.
 
     dp[u][(j, k)] holds the maximum opinion of u over assignments in u's
     subtree with exactly j voting subtree nodes above theta at cost k.
     Keeping only the maximum opinion per (j, k) is lossless: opinions
     propagate upward with nonnegative coefficients, so a higher child
     opinion dominates at every ancestor and never costs votes.
+
+    Among equal opinions a merged cell keeps the smallest child cell
+    (j, k), whatever order the dicts are met in. A node's cell keeps the
+    first option met, options being met in index order; within one
+    option no two cells of the merged children tie, since the one that
+    lifts u to a vote reaches a different row.
     """
     dp = {}
     stages_by_node = {}
@@ -315,7 +322,9 @@ def dict_knapsack_tree_dp(tree, theta=0.5):
                 for (j, k), (xc, _, _) in dp[c].items():
                     key = (J + j, K + k)
                     val = csum + w * xc
-                    if key not in merged or val > merged[key][0]:
+                    old = merged.get(key)
+                    if old is None or val > old[0] or (
+                            val == old[0] and (j, k) < old[2]):
                         merged[key] = (val, (J, K), (j, k))
             stages.append(merged)
         stages_by_node[u] = stages
@@ -334,7 +343,7 @@ def dict_knapsack_tree_dp(tree, theta=0.5):
 
     n_vote = int(tree.voting.sum())
     need = n_vote // 2 + 1
-    root_table = dp[tree.root]
+    root_table = {key: val[0] for key, val in dp[tree.root].items()}
     best_key = None
     for (j, k) in sorted(root_table):
         if j >= need and (best_key is None or k < best_key[1]):

@@ -9,7 +9,6 @@ from medianflip.greedy import (
     betweenness,
     jaccard,
     lazy_greedy,
-    marginal_gain,
     min_budget_to_flip,
     round_to_stooges,
     score_total,
@@ -46,23 +45,6 @@ def test_score_total_branches():
     assert score_total(np.array([0.6, 0.5])) == 20000.0
     assert score_total(np.array([0.4])) == pytest.approx(500.0)
     assert score_total(np.array([0.4999999])) == 5000.0  # capped near the threshold
-
-
-def test_marginal_gain_of_current_resistance_is_zero():
-    inst = single_node(alpha=0.5)
-    assert marginal_gain(inst, 0, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_marginal_gain_single_node():
-    assert marginal_gain(single_node(s=0.8), 0, 1.0) == pytest.approx(0.4, abs=1e-9)
-
-
-def test_score_gain_bounded_without_crossings():
-    rng = np.random.default_rng(50)
-    inst = random_connected_instance(rng, 8)
-    inst = inst.with_s(rng.uniform(0.0, 0.2, 8))  # nothing can reach 0.5
-    g = marginal_gain(inst, 0, 1.0, GainFunction(kind="score"))
-    assert abs(g) <= 8 * 10000.0 / 2
 
 
 def test_greedy_zero_budget():

@@ -73,8 +73,6 @@ def assert_matches_dict_dp(tree, theta):
     assert dense.feasible == ref.feasible
     assert dense.cost == ref.cost
     assert dense.root_table == ref.root_table
-    # same insertion order: the ranks that break later ties are the dict's
-    assert list(dense.root_table) == list(ref.root_table)
     assert dense.assignment == ref.assignment
 
 
@@ -309,6 +307,35 @@ class TestTreeDP:
             tree = TreeInstance(relabelled_org_chart(0, draw, 60),
                                 mode=MODES[draw % 3])
             assert_matches_dict_dp(tree, theta=0.5)
+
+    def test_tie_goes_to_first_child_cell_in_row_major_order(self):
+        # Either leaf lifts the root to 0.55 at cost 1. At the root's
+        # merged cell (1 vote, cost 1) leaf 2's cell (0, 0) comes before
+        # its cell (1, 1), so leaf 2 keeps and leaf 1 is the stooge.
+        tree = tree_instance([(0, 1), (0, 2)], [0.5] * 3, [0.4] * 3,
+                             mode="opinion")
+        res = tree_dp_min_stooges(tree)
+        assert res.cost == 1 and res.assignment == {1: "s1"}
+        assert_matches_dict_dp(tree, theta=0.5)
+
+    def test_tie_between_subtrees_goes_to_first_child_cell(self):
+        # Opening node 1 or node 2 to its 0.6 leaf gives the third vote;
+        # node 2's cell (1 vote, cost 0) comes before its (2, 1).
+        tree = tree_instance([(0, 1), (0, 2), (1, 3), (2, 4)], [0.5] * 5,
+                             [0.2, 0.4, 0.4, 0.6, 0.6])
+        res = tree_dp_min_stooges(tree)
+        assert res.cost == 1 and res.assignment == {1: "alpha0"}
+        assert_matches_dict_dp(tree, theta=0.5)
+
+    def test_tie_between_options_goes_to_smaller_index(self):
+        # s equals the leaf's opinion, so alpha1 (x = s) and alpha0
+        # (x = the leaf's) give the root the same opinion, one ulp above
+        # theta, while keeping alpha = 0.3 rounds to exactly theta.
+        s = float(np.nextafter(0.5, 1.0))
+        tree = tree_instance([(0, 1)], [0.3, 0.5], [s, s])
+        res = tree_dp_min_stooges(tree)
+        assert res.cost == 1 and res.assignment == {0: "alpha1"}
+        assert_matches_dict_dp(tree, theta=0.5)
 
     def test_no_floating_point_warnings(self):
         # Node 0 has alpha = 1, node 1 alpha = 0; leaf 3 sits above theta,
