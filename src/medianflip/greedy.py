@@ -8,6 +8,7 @@ or betweenness and apply the fixed resistance rule.
 """
 
 import logging
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -118,13 +119,25 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
                                  evals_per_iter=evals_per_iter)
 
 
+# Brandes scores per live Network: a Network never changes, so one pass
+# serves every later ranking of it, with_alpha copies included
+_BETWEENNESS = weakref.WeakKeyDictionary()
+
+
 def betweenness(network):
     """Brandes betweenness on the unweighted graph, deterministic order.
 
     Runs over the stored arcs; for undirected networks every shortest
     path is traversed once per direction, so the accumulated scores are
-    halved.
+    halved. The pass runs once per Network; every call returns a fresh
+    copy of its scores.
     """
+    if network not in _BETWEENNESS:
+        _BETWEENNESS[network] = _brandes(network)
+    return _BETWEENNESS[network].copy()
+
+
+def _brandes(network):
     n = network.node_count
     adj = [targets.tolist() for targets, _ in network.adjacency]
     bc = np.zeros(n)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import medianflip.greedy as greedy
 from medianflip import Instance, SolverError, build_network, simulate
+from medianflip.bench import method_runner
 from medianflip.equilibrium import equilibrium
+from medianflip.generators import GeneratorSpec, generate, generate_network
 from medianflip.greedy import (
     GainFunction,
     baseline_select,
@@ -129,6 +132,107 @@ def test_betweenness_matches_path_enumeration():
             ours = betweenness(inst.network)
             oracle = betweenness_by_path_enumeration(inst.network)
             assert np.allclose(ours, oracle, atol=1e-9)
+
+
+def networkx_betweenness(nx, network):
+    graph = nx.DiGraph() if network.directed else nx.Graph()
+    graph.add_nodes_from(range(network.node_count))
+    graph.add_edges_from((int(u), int(v)) for u, v in
+                         zip(network.arc_src, network.arc_dst) if u != v)
+    bc = nx.betweenness_centrality(graph, normalized=False)
+    return np.array([bc[u] for u in range(network.node_count)])
+
+
+def test_betweenness_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(59)
+    # a directed graph with cycles: a ring plus random chords both ways
+    ring = [(u, (u + 1) % 40, 1.0) for u in range(40)]
+    chords = {(int(u), int(v)) for u, v in rng.integers(0, 40, (80, 2))
+              if u != v and (v - u) % 40 != 1}
+    directed = build_network(40, ring + [(u, v, 1.0) for u, v in chords],
+                             directed=True)
+    for net in (generate_network("grid", {"rows": 6, "cols": 6}, rng),
+                generate_network("ba", {"n": 60, "attach": 3}, rng),
+                directed):
+        assert np.allclose(betweenness(net), networkx_betweenness(nx, net),
+                           rtol=1e-12, atol=1e-9)
+
+
+def relabelled_grid(seed, draw):
+    """6x6 grid of generator seed `draw`, its node ids permuted by a
+    generator seeded with (seed, draw)."""
+    inst = generate(GeneratorSpec("grid", dist="normal", seed=draw,
+                                  params={"rows": 6, "cols": 6}))
+    net = inst.network
+    perm = np.random.default_rng([seed, draw]).permutation(36)
+    edges = [(int(perm[u]), int(perm[v]), float(w))
+             for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w) if u < v]
+    alpha, s = np.empty(36), np.empty(36)
+    alpha[perm], s[perm] = inst.alpha, inst.s
+    return Instance(build_network(36, edges), alpha, s)
+
+
+def count_brandes_passes(monkeypatch):
+    """Networks of every Brandes pass from here on, in call order."""
+    brandes = greedy._brandes
+    passes = []
+
+    def counted(network):
+        passes.append(network)
+        return brandes(network)
+
+    monkeypatch.setattr(greedy, "_brandes", counted)
+    return passes
+
+
+def centrality_scan(instance):
+    """Flip budget of the centrality baseline and its selection at each k."""
+    runner = method_runner("centrality")
+    selections = []
+
+    def recording(inst, k):
+        result = runner(inst, k)
+        selections.append(list(result.stooges.items()))
+        return result
+
+    return min_budget_to_flip(instance, recording), selections
+
+
+def test_centrality_flip_search_runs_brandes_once(monkeypatch):
+    inst = relabelled_grid(7, 1)
+    passes = count_brandes_passes(monkeypatch)
+    found, selections = centrality_scan(inst)
+    assert len(passes) == 1
+    assert found is not None and found > 1
+    assert len(selections) == found
+    # the same scan with every ranking from a fresh, uncached pass
+    monkeypatch.setattr(greedy, "betweenness", greedy._brandes)
+    assert centrality_scan(inst) == (found, selections)
+    assert len(passes) == 1 + found
+
+
+def test_betweenness_cache_cannot_be_corrupted(monkeypatch):
+    path = build_network(5, [(u, u + 1, 1.0) for u in range(4)])
+    inst = Instance(path, np.full(5, 0.5), np.full(5, 0.3))
+    passes = count_brandes_passes(monkeypatch)
+    bc = betweenness(path)
+    expected = bc.copy()
+    bc[:] = 0.0
+    bc[4] = 100.0
+    assert np.array_equal(betweenness(path), expected)
+    res = baseline_select(inst, k=1, kind="centrality")
+    assert list(res.stooges) == [2]
+    assert len(passes) == 1
+
+
+def test_with_alpha_copies_share_one_brandes_pass(monkeypatch):
+    inst = relabelled_grid(7, 2)
+    passes = count_brandes_passes(monkeypatch)
+    a = baseline_select(inst.with_alpha(np.full(36, 0.3)), 4, "centrality")
+    b = baseline_select(inst.with_alpha(np.full(36, 0.7)), 4, "centrality")
+    assert list(a.stooges) == list(b.stooges)
+    assert len(passes) == 1
 
 
 def test_baseline_select_random_covers_all_at_full_budget():
