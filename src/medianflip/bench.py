@@ -191,16 +191,18 @@ def stooge_runner(method, theta, seed, params):
     return lambda instance, stooges: runner(instance, stooges / 2.0)
 
 
-def flip_budget(instance, method, runner, theta, max_budget, resolution):
+def flip_budget(instance, method, runner, theta, max_budget, resolution,
+                base=None):
     """min_budget_to_flip for a stooge_runner, in stooges. A max_budget
     of None caps the search at every node; continuous methods bisect
-    down to resolution stooges."""
+    down to resolution stooges. `base` is the unmodified instance's
+    equilibrium opinions, solved when None."""
     continuous = method in CONTINUOUS_METHODS
     if continuous and max_budget is None:
         max_budget = instance.node_count
     return min_budget_to_flip(instance, runner, theta=theta,
                               max_budget=max_budget, continuous=continuous,
-                              resolution=resolution)
+                              resolution=resolution, base=base)
 
 
 def _stooge_set(method, result, instance, k_equivalent):
@@ -230,11 +232,13 @@ def _run_one(config, method, seed):
 
     try:
         start = time.perf_counter()
+        # the flip search and a zero budget read the unmodified instance
+        base = None if config.budget else equilibrium(instance).x_star
         if config.budget is None:
             budget = flip_budget(instance, method, recording,
                                  theta=config.theta,
                                  max_budget=config.max_budget,
-                                 resolution=config.resolution)
+                                 resolution=config.resolution, base=base)
         else:
             budget = config.budget
             if budget > 0:
@@ -244,8 +248,7 @@ def _run_one(config, method, seed):
             record.error = "no flipping budget up to max_budget"
             return record
         result = answers[budget] if budget > 0 else InterventionResult.of(
-            instance, instance.alpha, equilibrium(instance).x_star,
-            config.theta, {})
+            instance, instance.alpha, base, config.theta, {})
         record.budget = float(budget)
         record.percent_of_n = 100.0 * record.budget / n
         record.l1_used = float(result.l1_budget_used)

@@ -10,10 +10,14 @@ equilibrium solves X x = A s where X = I - (I - A) W. An
 EquilibriumOperator holds X for one resistance vector and serves both
 the forward solve X x = b and the adjoint solve X^T z = v, never through
 an explicit inverse: up to DENSE_MAX_NODES nodes X is LU-factored once
-as a dense matrix, above that each solve is a restarted GMRES run on the
-sparse X (Saad, Iterative Methods for Sparse Linear Systems, 2003),
-which works on X itself rather than on the normal equations. Nodes with deg(u) = 0 have an all-zero W row and
-therefore x_u = alpha_u * s_u.
+as a dense matrix, above that each solve is a restarted GMRES run
+(Saad, Iterative Methods for Sparse Linear Systems, 2003), which works
+on X itself rather than on the normal equations. That X is never built:
+GMRES applies it matrix-free through W, as X v = v - (1 - alpha) * (W v)
+and X^T v = v - W^T ((1 - alpha) * v). An ascent hands each step's
+solution to the next step, whose GMRES runs then start from the last
+x* and the last adjoint z instead of from zero. Nodes with deg(u) = 0
+have an all-zero W row and therefore x_u = alpha_u * s_u.
 
 X is singular exactly when some closed class of W's graph (a sink
 strongly connected component whose nodes have out-arcs) has alpha = 0
@@ -24,28 +28,35 @@ its start. Such systems are rejected before any solve.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
 
 DEFAULT_TOL = 1e-10
 
 # Largest node count solved by dense LU; larger systems use GMRES. A dense
 # LU costs O(n^3) whatever the topology, while a GMRES forward-plus-adjoint
-# pair on these well-conditioned systems (about 13 iterations per solve)
-# stays near 4-5 ms at these sizes, mostly per-iteration overhead. Dense
+# pair on these well-conditioned systems (11-15 iterations per cold solve)
+# stays near 3-5 ms at these sizes, mostly per-iteration overhead. Dense
 # build + factor + forward and adjoint solve with both residuals, against
-# that GMRES pair, in ms as dense / GMRES, median of 60, on ba and gnp
-# graphs (2 vCPUs, OpenBLAS with 2 threads; two idle runs, then one run
-# with the second CPU busy):
-#   n     ba idle             gnp idle            ba busy     gnp busy
-#   100   0.24 / 4.2-4.7      0.23 / 4.0-4.1      0.20 / 3.6  0.20 / 4.1
-#   150   0.47-0.54 / 4.6-4.8 0.44-0.55 / 4.7-5.0 0.52 / 4.6  0.51 / 5.0
-#   200   1.7-1.8 / 4.6-4.9   0.87-0.97 / 4.6     1.9 / 4.9   0.91 / 4.7
-#   250   4.0-5.2 / 4.6       1.7-1.9 / 4.6-5.0   6.8 / 4.2   1.9 / 4.5
-#   300   3.9-4.5 / 4.3-4.4   2.7-4.5 / 5.0-5.2   7.9 / 4.5   5.3 / 4.8
-#   400   7.8-8.4 / 4.9-5.1   7.5-7.9 / 5.1-5.5   8.2 / 4.5   10.0 / 5.0
-# The crossover sits near 250-300 nodes idle and 220-300 busy, so at 200
-# the dense path still wins by 2.5x or more either way.
+# that matrix-free GMRES pair from cold starts, in ms as dense / GMRES,
+# median of 60, on ba and gnp graphs (2 vCPUs shared with other jobs,
+# OpenBLAS with 2 threads); ranges over three idle runs:
+#   n     ba                  gnp
+#   100   0.16-0.27 / 4.0-4.4 0.24-0.27 / 4.2-5.5
+#   150   0.42-0.62 / 3.4-4.6 0.48-0.61 / 3.6-5.0
+#   200   1.5-1.8 / 4.0-4.5   0.76-0.92 / 3.1-4.3
+#   250   2.9-3.2 / 3.5-4.4   1.7-2.1 / 2.7-4.2
+#   300   4.3-4.5 / 3.5-4.4   2.8-3.1 / 2.5-4.2
+#   400   8.3-9.8 / 4.1-5.0   5.6-6.5 / 3.5-4.1
+# and over two runs with the second CPU busy:
+#   100   0.22-0.28 / 3.3-4.4 0.22-0.27 / 4.1-5.9
+#   150   0.37-0.61 / 3.3-4.5 0.40-0.60 / 3.4-5.1
+#   200   1.9-5.8 / 4.4-4.8   0.91-1.2 / 4.4-4.6
+#   250   7.5-7.9 / 4.2-4.5   5.4-5.5 / 3.2-4.3
+#   300   8.1-9.0 / 4.5-4.6   6.8-6.9 / 3.7-4.3
+#   400   8.4-17 / 2.8-5.0    9.0-10 / 3.9-4.4
+# The crossover sits near 300 nodes on ba and 300-400 on gnp idle, and
+# near 200-250 busy. At 200 the dense path wins by 2x or more idle and in
+# three of the four busy readings; one busy ba run read 5.8 ms dense.
 DENSE_MAX_NODES = 200
 
 # Krylov vectors GMRES keeps before it restarts.
@@ -74,29 +85,37 @@ class EquilibriumSolution:
 
 
 class EquilibriumOperator:
-    """X = I - (I - A) W for one (instance, alpha), built once.
+    """X = I - (I - A) W for one (instance, alpha).
 
     Raises SolverError naming the offending nodes when X is singular.
     Dense systems are LU-factored here; `solve` and `solve_T` then reuse
-    the factor. Sparse systems are solved by GMRES(GMRES_RESTART) to the
-    relative residual DEFAULT_TOL, with at most about 10 * n iterations.
-    Either solve raises SolverError when its residual is not finite or
-    exceeds 1e-6 * max(1, ||rhs||).
+    the factor. Sparse systems are solved by GMRES(GMRES_RESTART) on the
+    matrix-free X to the relative residual DEFAULT_TOL, with at most
+    about 10 * n iterations. `start`, the EquilibriumSolution of a nearby
+    alpha, seeds those runs: `solve` starts from its x* and `solve_T`
+    from the latest adjoint solution of its operator. The dense path
+    ignores it. Either solve raises SolverError when its residual is not
+    finite or exceeds 1e-6 * max(1, ||rhs||).
     """
 
-    def __init__(self, instance, alpha=None):
+    def __init__(self, instance, alpha=None, start=None):
         alpha = instance.alpha if alpha is None else np.asarray(alpha, float)
         _reject_singular(instance.network, alpha)
         self.b = alpha * instance.s
+        self.adjoint = None  # z of the latest solve_T
         n = instance.node_count
         W = instance.network.influence_matrix
         if n <= DENSE_MAX_NODES:
             self.X = np.eye(n) - (1.0 - alpha)[:, None] * W.toarray()
             self._lu = lu_factor(self.X, check_finite=False)
-        else:
-            self.X = sp.eye(n, format="csr") - sp.diags(1.0 - alpha) @ W
-            self._lu = None
-        self._XT = None  # CSR copy of X^T, made by the first sparse solve_T
+            return
+        self._lu = None
+        self._W, self._WT, self._fade = W, W.T, 1.0 - alpha
+        self._x0 = self._z0 = None
+        if start is not None:
+            self._x0 = start.x_star
+            if start.operator is not None:
+                self._z0 = start.operator.adjoint
 
     def solve(self, b):
         """x with X x = b."""
@@ -104,33 +123,43 @@ class EquilibriumOperator:
 
     def solve_T(self, v):
         """z with X^T z = v."""
-        return self._solve(v, True)[0]
+        self.adjoint = self._solve(v, True)[0]
+        return self.adjoint
+
+    def _apply(self, v, transpose):
+        """X v, or X^T v when transpose."""
+        if self._lu is not None:
+            return (self.X.T if transpose else self.X) @ v
+        if transpose:
+            return v - self._WT @ (self._fade * v)
+        return v - self._fade * (self._W @ v)
 
     def _solve(self, rhs, transpose):
         """(solution, residual, GMRES iterations, converged)."""
         rhs = np.asarray(rhs, dtype=float)
         if self._lu is not None:
-            kind, M = "dense", self.X.T if transpose else self.X
+            kind = "dense"
             x = lu_solve(self._lu, rhs, trans=int(transpose),
                          check_finite=False)
             itn, converged = 0, True
         else:
             # imported here: processes that only solve small systems never
             # load scipy.sparse.linalg, about 2 MB of resident memory
-            from scipy.sparse.linalg import gmres
+            from scipy.sparse.linalg import LinearOperator, gmres
 
-            if transpose and self._XT is None:
-                self._XT = self.X.T.tocsr()
-            M = self._XT if transpose else self.X
+            n = len(rhs)
+            M = LinearOperator((n, n), dtype=float,
+                               matvec=lambda v: self._apply(v, transpose))
             steps = []
             # maxiter counts restart cycles: about 10 n iterations in all
-            x, info = gmres(M, rhs, rtol=DEFAULT_TOL, atol=0.0,
+            x, info = gmres(M, rhs, x0=self._z0 if transpose else self._x0,
+                            rtol=DEFAULT_TOL, atol=0.0,
                             restart=GMRES_RESTART,
-                            maxiter=10 * len(rhs) // GMRES_RESTART + 1,
+                            maxiter=10 * n // GMRES_RESTART + 1,
                             callback=steps.append, callback_type="pr_norm")
             itn, converged = len(steps), info == 0
             kind = f"GMRES ({itn} iterations)"
-        residual = float(np.linalg.norm(M @ x - rhs))
+        residual = float(np.linalg.norm(self._apply(x, transpose) - rhs))
         if not residual <= 1e-6 * max(1.0, float(np.linalg.norm(rhs))):
             # also catches a non-finite residual
             raise SolverError(
@@ -159,15 +188,16 @@ def _reject_singular(network, alpha):
                 f"have alpha = 0 and reach only each other")
 
 
-def equilibrium(instance, alpha=None):
+def equilibrium(instance, alpha=None, start=None):
     """Solve X x = A s for the equilibrium opinions.
 
     Factors X once (see EquilibriumOperator) and returns the operator on
     the solution. Above DENSE_MAX_NODES, DEFAULT_TOL is the relative
     residual GMRES aims for; the solve fails only if its residual exceeds
-    1e-6 * max(1, ||A s||). Raises SolverError.
+    1e-6 * max(1, ||A s||). `start`, the solution at a nearby alpha,
+    only sets where GMRES starts. Raises SolverError.
     """
-    op = EquilibriumOperator(instance, alpha)
+    op = EquilibriumOperator(instance, alpha, start)
     x, residual, itn, converged = op._solve(op.b, False)
     return EquilibriumSolution(x, residual, itn, converged, op)
 

@@ -4,14 +4,16 @@ Differentiating X x* = A s with X = I - (I - A) W gives the Jacobian
 J = dx*/dalpha = X^{-1} Diag(s - W x*). All gradients are pulled back
 through J^T v = Diag(s - W x*) X^{-T} v, one adjoint solve per gradient
 on the operator that already gave x*, so an ascent step factors X once;
-the full Jacobian is never materialized.
+the full Jacobian is never materialized. A gradient given the solution
+of a nearby alpha as `start` begins both sparse solves from it (see
+EquilibriumOperator).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import equilibrium
+from .equilibrium import EquilibriumSolution, equilibrium
 from .estimators import huber_m_estimate, sigmoid
 
 
@@ -21,9 +23,13 @@ class HuberGradient:
 
     gradient: np.ndarray
     y_hat: float
-    x_star: np.ndarray
+    solution: EquilibriumSolution
     members: np.ndarray
     expansions: int
+
+    @property
+    def x_star(self):
+        return self.solution.x_star
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,11 @@ class SigmoidGradient:
 
     gradient: np.ndarray
     objective: float
-    x_star: np.ndarray
+    solution: EquilibriumSolution
+
+    @property
+    def x_star(self):
+        return self.solution.x_star
 
 
 def equilibrium_jacobian_action(instance, solution, v):
@@ -53,7 +63,7 @@ def equilibrium_jacobian_action(instance, solution, v):
     return (instance.s - W @ solution.x_star) * z
 
 
-def huber_gradient(instance, config, alpha=None):
+def huber_gradient(instance, config, alpha=None, start=None):
     """Gradient of y_hat(alpha) = argmin_y sum_i H_c(x*_i(alpha) - y).
 
     Membership set I = {i : |x*_i - y_hat| < c}. The formula averages the
@@ -61,7 +71,7 @@ def huber_gradient(instance, config, alpha=None):
     least c) is handled by doubling the radius until I is nonempty, with
     the number of doublings reported.
     """
-    sol = equilibrium(instance, alpha=alpha)
+    sol = equilibrium(instance, alpha=alpha, start=start)
     x_star = sol.x_star
     y_hat = huber_m_estimate(x_star, config)
     radius = config.c
@@ -73,17 +83,17 @@ def huber_gradient(instance, config, alpha=None):
         members = np.abs(x_star - y_hat) < radius
     grad = equilibrium_jacobian_action(
         instance, sol, members.astype(float)) / members.sum()
-    return HuberGradient(grad, y_hat, x_star, members, expansions)
+    return HuberGradient(grad, y_hat, sol, members, expansions)
 
 
-def sigmoid_gradient(instance, config, alpha=None):
+def sigmoid_gradient(instance, config, alpha=None, start=None):
     """Gradient of f(alpha) = sum_u sigmoid(tau * (x*_u - theta)).
 
     The pullback weight for node u is the sigmoid derivative
     tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
     """
-    sol = equilibrium(instance, alpha=alpha)
+    sol = equilibrium(instance, alpha=alpha, start=start)
     sig = sigmoid(config.tau * (sol.x_star - config.theta))
     weights = config.tau * sig * (1.0 - sig)
     grad = equilibrium_jacobian_action(instance, sol, weights)
-    return SigmoidGradient(grad, float(sig.sum()), sol.x_star)
+    return SigmoidGradient(grad, float(sig.sum()), sol)

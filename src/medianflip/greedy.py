@@ -221,17 +221,19 @@ def jaccard(u1, u2):
 
 
 def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
-                       continuous=False, resolution=0.25):
+                       continuous=False, resolution=0.25, base=None):
     """Smallest budget at which runner(instance, budget) flips the median.
 
     Discrete budgets are scanned linearly upward because heuristic
     success is not monotone in k; continuous budgets are halved down to
     the given resolution, which is sound for the monotone-by-projection
     continuous methods. Returns 0 when no intervention is needed and
-    None when max_budget never flips.
+    None when max_budget never flips. `base` is the unmodified
+    instance's equilibrium opinions, solved here when None.
     """
-    base = median(equilibrium(instance).x_star)
-    if base > theta:
+    if base is None:
+        base = equilibrium(instance).x_star
+    if median(base) > theta:
         return 0
     n = instance.node_count
     if continuous:

@@ -112,7 +112,9 @@ def _stooge_view(alpha, alpha0):
 
 
 def _ascend(instance, config, gradient_fn, theta):
-    """Shared projected-ascent loop; gradient_fn(alpha) -> (grad, surrogate, x*)."""
+    """Shared projected-ascent loop; gradient_fn(alpha, start) -> (grad,
+    surrogate, EquilibriumSolution), where start is the previous step's
+    solution (None at the first step) and only seeds the sparse solves."""
     alpha0 = instance.alpha
     k = config.budget_k
     alpha = alpha0.copy()
@@ -121,9 +123,11 @@ def _ascend(instance, config, gradient_fn, theta):
     best_alpha, best_x, best_median = alpha0.copy(), None, -np.inf
     converged = False
     it = 0
+    solution = None
     while it < config.max_iters:
         it += 1
-        grad, surrogate, x_star = gradient_fn(alpha)
+        grad, surrogate, solution = gradient_fn(alpha, solution)
+        x_star = solution.x_star
         true_med = median(x_star)
         trace.append(TraceEntry(it, surrogate, true_med,
                                 float(np.abs(alpha - alpha0).sum())))
@@ -138,7 +142,7 @@ def _ascend(instance, config, gradient_fn, theta):
             converged = True
             break
     # the final projected alpha has not been evaluated yet
-    x_star = equilibrium(instance, alpha=alpha).x_star
+    x_star = equilibrium(instance, alpha=alpha, start=solution).x_star
     if median(x_star) > best_median:
         best_alpha, best_x = alpha.copy(), x_star
     return InterventionResult.of(
@@ -151,9 +155,9 @@ def _ascend(instance, config, gradient_fn, theta):
 def projected_huber(instance, config, huber, theta=0.5):
     """Gradient ascent on the Huber M-estimate of the equilibrium opinions."""
 
-    def grad_fn(alpha):
-        res = huber_gradient(instance, huber, alpha=alpha)
-        return res.gradient, res.y_hat, res.x_star
+    def grad_fn(alpha, start):
+        res = huber_gradient(instance, huber, alpha=alpha, start=start)
+        return res.gradient, res.y_hat, res.solution
 
     return _ascend(instance, config, grad_fn, theta)
 
@@ -162,8 +166,8 @@ def sigmoid_gd(instance, config, sig):
     """Gradient ascent on the sigmoid count of nodes above the threshold
     sig.theta, which is also the flip threshold."""
 
-    def grad_fn(alpha):
-        res = sigmoid_gradient(instance, sig, alpha=alpha)
-        return res.gradient, res.objective, res.x_star
+    def grad_fn(alpha, start):
+        res = sigmoid_gradient(instance, sig, alpha=alpha, start=start)
+        return res.gradient, res.objective, res.solution
 
     return _ascend(instance, config, grad_fn, sig.theta)

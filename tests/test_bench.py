@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import medianflip.bench as bench
+import medianflip.greedy as greedy
 from medianflip import (
     GeneratorSpec,
     Instance,
@@ -194,6 +195,26 @@ class TestSearchAnswers:
         radii = [config.budget_k for config in calls]
         assert rec.flipped and rec.budget / 2 in radii
         assert len(radii) == len(set(radii)) > 1
+
+    def test_zero_budget_search_solves_the_base_once(self, monkeypatch):
+        solves = []
+        real = bench.equilibrium
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "equilibrium", counted)
+        monkeypatch.setattr(greedy, "equilibrium", counted)
+        # a path whose median already exceeds theta
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        inst = Instance(net, np.full(3, 0.5), np.array([0.55, 0.60, 0.70]))
+        rec = run_experiment(ExperimentConfig(
+            inst, methods=("greedy",), seeds=(0,))).records[0]
+        assert rec.error is None and rec.budget == 0
+        assert rec.flipped and rec.l0_used == 0 and rec.stooges == ()
+        assert rec.final_median == median(real(inst).x_star)
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("budget", [None, 3])
     def test_records_equal_direct_runs(self, budget):

@@ -460,3 +460,16 @@ class TestExitCodes:
                                   text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert "optimize" in proc.stdout, proc.stderr
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # scipy.sparse.linalg is imported by the first sparse solve only,
+        # so importing the package or the CLI costs no more than that
+        check = ("import sys, medianflip, medianflip.cli; "
+                 "print('scipy.sparse.linalg' in sys.modules)")
+        path = os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", check],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -3,8 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from medianflip import (GeneratorSpec, Instance, SolverError, build_network,
-                        equilibrium, generate, simulate)
+from medianflip import (GeneratorSpec, Instance, OptimizerConfig,
+                        SigmoidConfig, SolverError, build_network,
+                        equilibrium, generate, median, sigmoid_gd, simulate)
 from medianflip.equilibrium import DENSE_MAX_NODES
 
 
@@ -204,3 +205,87 @@ def test_iterative_solve_with_weak_resistance_matches_simulation():
     sim = simulate(inst, alpha=alpha, tol=1e-14)
     assert sim.converged
     assert np.max(np.abs(sol.x_star - sim.x_star)) <= 1e-10
+
+
+def test_singular_closed_class_raises_on_the_sparse_path():
+    # a directed path into a 3-cycle; the cycle is closed and has alpha 0
+    n = DENSE_MAX_NODES + 40
+    edges = [(u, u + 1, 1.0) for u in range(n - 1)] + [(n - 1, n - 3, 1.0)]
+    net = build_network(n, edges, directed=True)
+    alpha = np.full(n, 0.5)
+    alpha[-3:] = 0.0
+    s = np.linspace(0.0, 1.0, n)
+    with pytest.raises(SolverError,
+                       match=rf"\[{n - 3}, {n - 2}, {n - 1}\]"):
+        equilibrium(Instance(net, alpha, s))
+    alpha[-1] = 0.2  # one resisting node opens the class
+    inst = Instance(net, alpha, s)
+    sol = equilibrium(inst)
+    assert sol.iterations > 0
+    assert np.max(np.abs(sol.x_star - simulate(inst, tol=1e-13).x_star)) <= 1e-8
+
+
+def test_ascent_warm_starts_keep_the_residual_guarantee(monkeypatch):
+    inst = _ba_instance(DENSE_MAX_NODES + 40, seed=8)
+    gradients = importlib.import_module("medianflip.gradients")
+    real = gradients.equilibrium
+    solves = []
+
+    def recording(instance, alpha=None, start=None):
+        sol = real(instance, alpha=alpha, start=start)
+        solves.append((np.array(alpha), start, sol))
+        return sol
+
+    monkeypatch.setattr(gradients, "equilibrium", recording)
+    sigmoid_gd(inst, OptimizerConfig(budget_k=10.0, max_iters=8),
+               SigmoidConfig())
+    assert len(solves) == 8
+    # each step starts from the solution of the step before
+    assert solves[0][1] is None
+    assert all(start is prev[2] for prev, (_, start, _) in
+               zip(solves, solves[1:]))
+    W = inst.network.influence_matrix
+    for alpha, _, sol in solves:
+        b = alpha * inst.s
+        assert sol.residual <= 1e-10 * np.linalg.norm(b)
+        residual = sol.x_star - (1.0 - alpha) * (W @ sol.x_star) - b
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+        cold = real(inst, alpha=alpha)
+        assert median(sol.x_star) == pytest.approx(median(cold.x_star),
+                                                   abs=1e-9)
+
+
+def test_neighbouring_start_takes_fewer_iterations(monkeypatch):
+    inst = _ba_instance(DENSE_MAX_NODES + 40, seed=9)
+    n = inst.node_count
+    rng = np.random.default_rng(9)
+    near = np.clip(inst.alpha + rng.normal(scale=1e-3, size=n), 0.0, 1.0)
+    v = rng.uniform(size=n)
+    linalg = importlib.import_module("scipy.sparse.linalg")
+    real_gmres = linalg.gmres
+    counts = []
+
+    def counting(M, b, callback, **kw):
+        steps = []
+
+        def step(r):
+            steps.append(r)
+            callback(r)
+
+        out = real_gmres(M, b, callback=step, **kw)
+        counts.append(len(steps))
+        return out
+
+    monkeypatch.setattr(linalg, "gmres", counting)
+    prev = equilibrium(inst)
+    prev.operator.solve_T(v)
+    del counts[:]
+    cold = equilibrium(inst, alpha=near)
+    z_cold = cold.operator.solve_T(v)
+    warm = equilibrium(inst, alpha=near, start=prev)
+    z_warm = warm.operator.solve_T(v)
+    cold_fwd, cold_adj, warm_fwd, warm_adj = counts
+    assert (cold_fwd, warm_fwd) == (cold.iterations, warm.iterations)
+    assert warm_fwd < cold_fwd and warm_adj < cold_adj
+    assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-8
+    assert np.max(np.abs(z_warm - z_cold)) <= 1e-8
