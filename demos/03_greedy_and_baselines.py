@@ -44,7 +44,7 @@ print(f"  {100 * saved:.0f}% of candidate evaluations skipped, "
       f"same picks: {res.stooges == eager.stooges}")
 
 # -- 3. baselines at the same budget ---------------------------------------
-for kind in ("random", "max_degree", "centrality"):
+for kind in ("random", "degree", "centrality"):
     b = baseline_select(inst, k, kind, seed=1)
     overlap = jaccard(set(res.stooges), set(b.stooges))
     print(f"{kind:11s}: median -> {b.final_median:.4f}, "

@@ -32,7 +32,6 @@ from .optimize import (
     sigmoid_gd,
 )
 from .greedy import (
-    GainFunction,
     baseline_select,
     betweenness,
     jaccard,
@@ -100,7 +99,6 @@ __all__ = [
     "OptimizerConfig",
     "projected_huber",
     "sigmoid_gd",
-    "GainFunction",
     "baseline_select",
     "betweenness",
     "jaccard",

@@ -22,12 +22,12 @@ import numpy as np
 from .equilibrium import SolverError, equilibrium
 from .estimators import HuberConfig, SigmoidConfig, find_c
 from .greedy import (
-    GainFunction,
     baseline_select,
     jaccard,
     lazy_greedy,
     min_budget_to_flip,
     round_to_stooges,
+    score_total,
 )
 from .network import NetworkError
 from .optimize import (
@@ -45,10 +45,18 @@ from .treedp import (
 
 log = logging.getLogger(__name__)
 
-METHODS = (
-    "huber", "sigmoid", "greedy", "greedy-score", "random", "degree",
-    "centrality", "tree-dp",
-)
+# method -> the options its runner reads; no other option is accepted
+METHOD_OPTIONS = {
+    "huber": ("c", "eta", "max_iters"),
+    "sigmoid": ("tau", "eta", "max_iters"),
+    "greedy": ("phi",),
+    "greedy-score": ("phi",),
+    "random": (),
+    "degree": (),
+    "centrality": (),
+    "tree-dp": ("mode",),
+}
+METHODS = tuple(METHOD_OPTIONS)
 CONTINUOUS_METHODS = frozenset({"huber", "sigmoid"})
 
 CSV_COLUMNS = (
@@ -89,6 +97,12 @@ class ExperimentConfig:
             raise ValueError("need at least one seed (repetitions >= 1)")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be nonnegative")
+        if self.max_budget is not None and self.max_budget < 0:
+            raise ValueError("max_budget must be nonnegative")
+        if not self.resolution > 0:
+            raise ValueError("resolution must be positive")
+        for method, params in self.method_params.items():
+            _check_options(method, params)
 
 
 @dataclass
@@ -134,14 +148,22 @@ def _tree_dp_runner(instance, budget, theta, mode):
     return result if fits else replace(result, flipped=False)
 
 
+def _check_options(method, params):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    unread = set(params or {}) - set(METHOD_OPTIONS[method])
+    if unread:
+        raise ValueError(f"{method} reads no option {sorted(unread)}")
+
+
 def method_runner(method, theta=0.5, seed=None, params=None):
     """Build runner(instance, budget) -> InterventionResult.
 
     The budget argument is in the method's native units: a stooge count
-    for discrete methods, an l1 radius for huber and sigmoid.
+    for discrete methods, an l1 radius for huber and sigmoid. params may
+    set only the options METHOD_OPTIONS lists for the method.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    _check_options(method, params)
     params = dict(params or {})
     c_cache = weakref.WeakKeyDictionary()
 
@@ -167,16 +189,13 @@ def method_runner(method, theta=0.5, seed=None, params=None):
             return lazy_greedy(instance, int(budget),
                                phi=params.get("phi", 0.8), theta=theta)
         if method == "greedy-score":
-            gain = GainFunction(kind="score")
             return lazy_greedy(instance, int(budget),
-                               phi=params.get("phi", 0.8), gain=gain,
+                               phi=params.get("phi", 0.8), gain=score_total,
                                theta=theta)
         if method == "tree-dp":
             return _tree_dp_runner(instance, int(budget), theta,
                                    params.get("mode", "resistance"))
-        kind = {"random": "random", "degree": "max_degree",
-                "centrality": "centrality"}[method]
-        return baseline_select(instance, int(budget), kind, theta=theta,
+        return baseline_select(instance, int(budget), method, theta=theta,
                                seed=seed)
 
     return run

@@ -13,6 +13,7 @@ from csv import writer as csv_writer
 from dataclasses import fields
 
 from .bench import (
+    METHOD_OPTIONS,
     METHODS,
     ExperimentConfig,
     ExperimentReport,
@@ -115,12 +116,10 @@ def _add_method_args(parser):
 
 
 def _method_params(args):
-    params = {}
-    for name in ("phi", "c", "tau", "eta", "max_iters", "mode"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    return params
+    """The options given; method_runner rejects those the method ignores."""
+    names = {name for names in METHOD_OPTIONS.values() for name in names}
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _write_trace(path, trace):

@@ -83,38 +83,31 @@ def huber_m_estimate(x, config):
     return _clip_sum_root(x + c, np.full(n, 2 * c), n * c)
 
 
-def default_c_grid():
-    """25 log-spaced candidates in [1e-4, 1]."""
-    return np.logspace(-4, 0, 25)
+# find_c's perturbation size, trial count and candidate grid of c
+FIND_C_EPSILON = 0.05
+FIND_C_TRIALS = 10
+C_GRID = np.logspace(-4, 0, 25)
 
 
-def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None):
-    """Pick the tuning constant whose M-estimate best tracks the median.
+def find_c(instance, seed=None):
+    """Pick the tuning constant in C_GRID whose M-estimate best tracks
+    the median.
 
-    Each trial perturbs every resistance and innate opinion by +-epsilon
-    (sign chosen at random), clamps to [0, 1], solves the equilibrium,
-    and scores each candidate c by |y_hat_c - median(x*)|. Returns the
-    candidate with the smallest trial-average error, ties broken toward
-    the smaller c; errors within TIE_RTOL relative of the smallest count
-    as tied. Trials whose equilibrium solve fails are skipped; all
-    failing is an error.
+    Each of FIND_C_TRIALS trials perturbs every resistance and innate
+    opinion by +-FIND_C_EPSILON (sign chosen at random), clamps to
+    [0, 1], solves the equilibrium, and scores each candidate c by
+    |y_hat_c - median(x*)|. Returns the candidate with the smallest
+    trial-average error, ties broken toward the smaller c; errors within
+    TIE_RTOL relative of the smallest count as tied. Trials whose
+    equilibrium solve fails are skipped; all failing is an error.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if candidates is None:
-        candidates = default_c_grid()
-    candidates = np.sort(np.asarray(candidates, dtype=float))
-    if candidates.size == 0:
-        raise ValueError("empty candidate grid")
     n = instance.node_count
-    errors = np.zeros(len(candidates))
+    errors = np.zeros(len(C_GRID))
     used = 0
-    for child_seed in np.random.SeedSequence(seed).spawn(trials):
+    for child_seed in np.random.SeedSequence(seed).spawn(FIND_C_TRIALS):
         rng = np.random.default_rng(child_seed)
-        da = epsilon * rng.choice([-1.0, 1.0], size=n)
-        ds = epsilon * rng.choice([-1.0, 1.0], size=n)
+        da = FIND_C_EPSILON * rng.choice([-1.0, 1.0], size=n)
+        ds = FIND_C_EPSILON * rng.choice([-1.0, 1.0], size=n)
         alpha = np.clip(instance.alpha + da, 0.0, 1.0)
         s = np.clip(instance.s + ds, 0.0, 1.0)
         perturbed = instance.with_alpha(alpha).with_s(s)
@@ -124,7 +117,7 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None):
             log.warning("find_c trial skipped: %s", exc)
             continue
         target = median(x)
-        for i, c in enumerate(candidates):
+        for i, c in enumerate(C_GRID):
             y_hat = huber_m_estimate(x, HuberConfig(c))
             errors[i] += abs(y_hat - target)
         used += 1
@@ -132,7 +125,7 @@ def find_c(instance, epsilon=0.05, trials=10, candidates=None, seed=None):
         raise SolverError("find_c: every perturbation trial failed")
     errors /= used
     tied = errors <= errors.min() * (1.0 + TIE_RTOL)
-    return float(candidates[int(np.argmax(tied))])
+    return float(C_GRID[int(np.argmax(tied))])
 
 
 def sigmoid(z):

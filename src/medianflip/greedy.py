@@ -10,7 +10,6 @@ or betweenness and apply the fixed resistance rule.
 import logging
 import weakref
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +23,6 @@ log = logging.getLogger(__name__)
 # score_total's per-node reward above 0.5 and its near-miss scale below
 MAX_SCORE = 10000.0
 NEAR_WEIGHT = 50.0
-
-
-@dataclass(frozen=True)
-class GainFunction:
-    """Objective used for marginal gains: raw median or the score sum."""
-
-    kind: str = "median"
-
-    def __post_init__(self):
-        if self.kind not in ("median", "score"):
-            raise ValueError(f"unknown gain kind {self.kind!r}")
-
-    def value(self, x):
-        if self.kind == "median":
-            return median(x)
-        return score_total(x)
 
 
 def score_total(x):
@@ -59,8 +42,9 @@ def _stooge_alpha(alpha, u, r):
     return out
 
 
-def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
-    """Select up to k stooges, one per iteration, by marginal gain.
+def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
+    """Select up to k stooges, one per iteration, by marginal gain of
+    gain(x), the median when None (looked up at call time).
 
     Stored gains start at +inf so the first iteration evaluates every
     (u, r) in V x {0, 1}. Later iterations scan in descending stored-gain
@@ -75,14 +59,16 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
     """
     if not 0 <= phi <= 1:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    if k > instance.node_count:
-        raise ValueError(f"k={k} exceeds node count {instance.node_count}")
+    if not 0 <= k <= instance.node_count:
+        raise ValueError(f"k={k} outside [0, {instance.node_count}]")
+    if gain is None:  # not a default: callers may replace greedy.median
+        gain = median
     alpha = instance.alpha.copy()
     stored = {(u, r): np.inf for u in range(instance.node_count) for r in (0.0, 1.0)}
     chosen = {}
     evals_per_iter = []
     x = equilibrium(instance, alpha=alpha).x_star
-    current = gain.value(x)
+    current = gain(x)
     current_median = median(x)
     while len(chosen) < k and current_median <= theta:
         order = sorted(stored, key=lambda ur: (-stored[ur], ur[0], -ur[1]))
@@ -97,7 +83,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
             except SolverError:
                 stored[(u, r)] = -np.inf
                 continue
-            g = gain.value(x_try) - current
+            g = gain(x_try) - current
             stored[(u, r)] = g
             evals += 1
             if best is None or (g, -u, r) > (best[0], -best[1], best[2]):
@@ -111,7 +97,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=GainFunction(), theta=0.5):
         del stored[(u, 0.0)]
         del stored[(u, 1.0)]
         x = equilibrium(instance, alpha=alpha).x_star
-        current = gain.value(x)
+        current = gain(x)
         current_median = median(x)
     # insertion order of chosen is the commit order
     return InterventionResult.of(instance, alpha, x, theta, chosen,
@@ -173,15 +159,16 @@ def _brandes(network):
 
 
 def baseline_select(instance, k, kind, theta=0.5, seed=None):
-    """Pick k nodes by a fixed node measure and apply the resistance rule
+    """Pick k nodes by a fixed node measure (kind "random", "degree" or
+    "centrality") and apply the resistance rule
     alpha_u = 1 if s_u > theta else 0."""
     n = instance.node_count
-    if k > n:
-        raise ValueError(f"k={k} exceeds node count {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside [0, {n}]")
     if kind == "random":
         rng = np.random.default_rng(seed)
         selected = [int(u) for u in rng.permutation(n)[:k]]
-    elif kind == "max_degree":
+    elif kind == "degree":
         measure = instance.network.deg
         selected = sorted(range(n), key=lambda u: (-measure[u], u))[:k]
     elif kind == "centrality":
@@ -222,15 +209,21 @@ def jaccard(u1, u2):
 
 def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
                        continuous=False, resolution=0.25, base=None):
-    """Smallest budget at which runner(instance, budget) flips the median.
+    """Smallest budget at which runner(instance, budget) reports flipped.
 
     Discrete budgets are scanned linearly upward because heuristic
     success is not monotone in k; continuous budgets are halved down to
     the given resolution, which is sound for the monotone-by-projection
     continuous methods. Returns 0 when no intervention is needed and
     None when max_budget never flips. `base` is the unmodified
-    instance's equilibrium opinions, solved here when None.
+    instance's equilibrium opinions, solved here when None. A negative
+    max_budget, or a continuous resolution that is not positive, is an
+    error.
     """
+    if max_budget is not None and max_budget < 0:
+        raise ValueError(f"max_budget must be nonnegative, got {max_budget}")
+    if continuous and not resolution > 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     if base is None:
         base = equilibrium(instance).x_star
     if median(base) > theta:
@@ -239,12 +232,12 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     if continuous:
         if max_budget is None:
             max_budget = n / 2
-        if not runner(instance, max_budget).final_median > theta:
+        if not runner(instance, max_budget).flipped:
             return None
         lo, hi = 0.0, float(max_budget)
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            if runner(instance, mid).final_median > theta:
+            if runner(instance, mid).flipped:
                 hi = mid
             else:
                 lo = mid
@@ -252,6 +245,6 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     if max_budget is None:
         max_budget = n
     for k in range(1, int(max_budget) + 1):
-        if runner(instance, k).final_median > theta:
+        if runner(instance, k).flipped:
             return k
     return None

@@ -296,21 +296,16 @@ def tree_dp_min_stooges(tree, theta=0.5):
 
 
 def apply_assignment(tree, assignment):
-    """Realize a DP assignment as modified (alpha, s) vectors."""
+    """Realize a DP assignment as the (alpha, s) of each label's
+    _node_cases option; a label of another mode is an error."""
     alpha = tree.instance.alpha.copy()
     s = tree.instance.s.copy()
     for u, label in assignment.items():
-        if label == "alpha1":
-            alpha[u] = 1.0
-        elif label == "alpha0":
-            alpha[u] = 0.0
-        elif label == "s1":
-            s[u] = 1.0
-        elif label == "one":
-            alpha[u] = 1.0
-            s[u] = 1.0
-        else:
-            raise ValueError(f"unknown assignment label {label!r}")
+        options = {case[0]: case[2:] for case in _node_cases(tree, u)[1:]}
+        if label not in options:
+            raise ValueError(
+                f"{label!r} is no stooge option in {tree.mode} mode")
+        alpha[u], s[u] = options[label]
     return alpha, s
 
 

@@ -16,6 +16,7 @@ from medianflip import (
 from medianflip.bench import (
     CONTINUOUS_METHODS,
     CSV_COLUMNS,
+    METHOD_OPTIONS,
     METHODS,
     ExperimentConfig,
     ExperimentReport,
@@ -56,6 +57,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(low_instance(), methods=("greedy",), seeds=())
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, float("nan")])
+    def test_resolution_must_be_positive(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            ExperimentConfig(low_instance(), methods=("huber",),
+                             resolution=resolution)
+
+    def test_max_budget_nonnegative(self):
+        with pytest.raises(ValueError, match="max_budget"):
+            ExperimentConfig(low_instance(), max_budget=-1)
+
+    def test_method_params_name_methods_and_read_options(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            ExperimentConfig(low_instance(),
+                             method_params={"hubr": {"max_iters": 3}})
+        with pytest.raises(ValueError, match="max_iter"):
+            ExperimentConfig(low_instance(), methods=("huber",),
+                             method_params={"huber": {"max_iter": 3}})
+        for method in METHODS:
+            params = {name: None for name in METHOD_OPTIONS[method]}
+            ExperimentConfig(low_instance(), method_params={method: params})
+
 
 class TestMethodRunner:
     def test_find_c_once_per_live_instance(self, monkeypatch):
@@ -72,6 +94,14 @@ class TestMethodRunner:
             runner(inst, 0.5)
             runner(inst, 1.0)
         assert len(calls) == 40
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rejects_options_the_method_does_not_read(self, method):
+        unread = {"phi", "c", "tau", "eta", "max_iters", "mode"} - set(
+            METHOD_OPTIONS[method])
+        for name in sorted(unread):
+            with pytest.raises(ValueError, match=name):
+                method_runner(method, params={name: 1})
 
 
 class TestRunExperiment:
@@ -272,6 +302,35 @@ class TestResultAccounting:
         assert over.l1_budget_used == 0.0
         fits = runner(inst, 1)
         assert fits.flipped and fits.l0_budget_used == 1
+
+    def test_tree_dp_search_ends_at_the_dp_cost(self):
+        # every budget below the DP cost of 2 leaves the upper median
+        # 0.5149 above theta without a strict majority; the search reads
+        # the runner's flipped, so it does not stop there
+        inst = generate(GeneratorSpec("org_chart", seed=4, params={"n": 10}))
+        inst = inst.with_s(inst.s + 0.05)
+        rec = run_experiment(ExperimentConfig(
+            inst, methods=("tree-dp",),
+            method_params={"tree-dp": {"mode": "resistance"}})).records[0]
+        assert rec.error is None
+        assert rec.budget == 2.0 and rec.l0_used == 2 and rec.flipped
+        assert rec.final_median == pytest.approx(0.5169, abs=1e-4)
+
+    def test_tree_dp_searches_end_flipped(self):
+        unflipped = []
+        for seed in range(60):
+            for n in (8, 10, 12):
+                inst = generate(GeneratorSpec("org_chart", seed=seed,
+                                              params={"n": n}))
+                inst = inst.with_s(inst.s + 0.05)
+                for mode in ("resistance", "opinion", "both"):
+                    rec = run_experiment(ExperimentConfig(
+                        inst, methods=("tree-dp",),
+                        method_params={"tree-dp": {"mode": mode}}
+                    )).records[0]
+                    if rec.error is None and not rec.flipped:
+                        unflipped.append((seed, n, mode, rec.budget))
+        assert unflipped == []
 
 
 class TestEmitReport:

@@ -318,6 +318,44 @@ class TestFlip:
         assert "no flipping budget" in capsys.readouterr().out
 
 
+class TestIllPosedInput:
+    @pytest.fixture
+    def grid_path(self, tmp_path):
+        path = tmp_path / "grid.json"
+        save_instance(generate(GeneratorSpec(
+            "grid", dist="normal", seed=0, params={"rows": 3, "cols": 3})),
+            path)
+        return str(path)
+
+    @pytest.mark.parametrize("method", ["random", "degree", "centrality",
+                                        "greedy"])
+    def test_negative_budget_exits_invalid(self, grid_path, method, capsys):
+        code = main(["optimize", "--instance", grid_path, "--method", method,
+                     "--budget", "-2", "--seed", "0"])
+        assert code == EXIT_INVALID
+        assert "flipped" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_nonpositive_resolution_exits_invalid(self, grid_path,
+                                                  resolution, capsys):
+        code = main(["flip", "--instance", grid_path, "--method", "sigmoid",
+                     "--max-iters", "30", "--resolution", resolution])
+        assert code == EXIT_INVALID
+        assert "resolution" in capsys.readouterr().err
+
+    def test_negative_max_budget_exits_invalid(self, grid_path, capsys):
+        code = main(["flip", "--instance", grid_path, "--method", "greedy",
+                     "--max-budget", "-1"])
+        assert code == EXIT_INVALID
+        assert "max_budget" in capsys.readouterr().err
+
+    def test_unread_option_exits_invalid(self, grid_path, capsys):
+        code = main(["optimize", "--instance", grid_path, "--method", "huber",
+                     "--budget", "1", "--phi", "0.5"])
+        assert code == EXIT_INVALID
+        assert "phi" in capsys.readouterr().err
+
+
 class TestBench:
     def write_config(self, tmp_path, **overrides):
         doc = {
@@ -383,6 +421,15 @@ class TestBench:
         assert code == EXIT_INVALID
         assert "'n'" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_unread_method_params_exit_invalid(self, tmp_path, capsys):
+        for params in ({"huber": {"max_iter": 3}},
+                       {"hubr": {"max_iters": 3}}):
+            cfg = self.write_config(tmp_path, method_params=params)
+            code = main(["bench", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.csv")])
+            assert code == EXIT_INVALID
+            assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_json_exits_invalid(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -6,9 +6,9 @@ import pytest
 from medianflip import Instance, build_network, estimators, mean, median
 from medianflip.equilibrium import simulate
 from medianflip.estimators import (
+    C_GRID,
     HuberConfig,
     SigmoidConfig,
-    default_c_grid,
     find_c,
     huber_loss,
     huber_m_estimate,
@@ -104,8 +104,8 @@ def test_find_c_constant_equilibrium_breaks_ties_small():
     # every node already agrees, so every c scores zero error
     net = build_network(3, [])
     inst = Instance(net, np.ones(3), np.full(3, 0.5))
-    c = find_c(inst, epsilon=0.0 + 0.05, trials=3, seed=0)
-    assert c == pytest.approx(default_c_grid()[0])
+    c = find_c(inst, seed=0)
+    assert c == pytest.approx(C_GRID[0])
 
 
 def test_find_c_rounding_ties_go_to_smaller_c(monkeypatch):
@@ -121,28 +121,17 @@ def test_find_c_rounding_ties_go_to_smaller_c(monkeypatch):
     alpha, s = np.empty(100), np.empty(100)
     alpha[perm], s[perm] = inst.alpha, inst.s
     inst = Instance(build_network(100, edges), alpha, s)
-    assert find_c(inst, seed=3) == default_c_grid()[0]
+    assert find_c(inst, seed=3) == C_GRID[0]
     monkeypatch.setattr(estimators, "equilibrium",
                         lambda instance: simulate(instance, tol=1e-15))
-    assert find_c(inst, seed=3) == default_c_grid()[0]
+    assert find_c(inst, seed=3) == C_GRID[0]
 
 
 def test_find_c_single_node():
     net = build_network(1, [])
     inst = Instance(net, [0.5], [0.3])
-    c = find_c(inst, trials=4, seed=1)
+    c = find_c(inst, seed=1)
     assert c == pytest.approx(1e-4)
-
-
-def test_find_c_validates_inputs():
-    net = build_network(1, [])
-    inst = Instance(net, [0.5], [0.3])
-    with pytest.raises(ValueError):
-        find_c(inst, epsilon=0.0)
-    with pytest.raises(ValueError):
-        find_c(inst, trials=0)
-    with pytest.raises(ValueError):
-        find_c(inst, candidates=[])
 
 
 def test_find_c_deterministic_in_seed():
@@ -150,7 +139,7 @@ def test_find_c_deterministic_in_seed():
     edges = [(u, u + 1, 1.0) for u in range(9)]
     net = build_network(10, edges)
     inst = Instance(net, np.full(10, 0.5), rng.uniform(0, 1, 10))
-    assert find_c(inst, trials=3, seed=42) == find_c(inst, trials=3, seed=42)
+    assert find_c(inst, seed=42) == find_c(inst, seed=42)
 
 
 def test_closed_form_matches_exact_root_finder():

@@ -7,7 +7,6 @@ from medianflip.bench import method_runner
 from medianflip.equilibrium import equilibrium
 from medianflip.generators import GeneratorSpec, generate, generate_network
 from medianflip.greedy import (
-    GainFunction,
     baseline_select,
     betweenness,
     jaccard,
@@ -39,11 +38,6 @@ def fig1_component():
     return Instance(net, alpha, s)
 
 
-def test_gain_function_validation():
-    with pytest.raises(ValueError):
-        GainFunction(kind="mean")
-
-
 def test_score_total_branches():
     assert score_total(np.array([0.6, 0.5])) == 20000.0
     assert score_total(np.array([0.4])) == pytest.approx(500.0)
@@ -64,6 +58,36 @@ def test_greedy_rejects_bad_arguments():
         lazy_greedy(inst, k=2)
     with pytest.raises(ValueError):
         lazy_greedy(inst, k=1, phi=1.5)
+    with pytest.raises(ValueError):
+        lazy_greedy(inst, k=-1)
+
+
+def test_baseline_select_rejects_bad_arguments():
+    inst = single_node()
+    for kind in ("random", "degree", "centrality"):
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="outside"):
+                baseline_select(inst, k, kind, seed=0)
+    # kinds are the method names; the old alias is gone
+    with pytest.raises(ValueError, match="unknown baseline kind"):
+        baseline_select(inst, 1, "max_degree")
+
+
+def test_min_budget_rejects_ill_posed_searches():
+    inst = single_node(s=0.6, alpha=0.5)
+
+    def runner(instance, k):
+        raise AssertionError("the search must not run")
+
+    with pytest.raises(ValueError, match="max_budget"):
+        min_budget_to_flip(inst, runner, max_budget=-1)
+    for resolution in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="resolution"):
+            min_budget_to_flip(inst, runner, continuous=True,
+                               resolution=resolution)
+    # a discrete scan has no resolution
+    assert min_budget_to_flip(inst, lambda instance, k: lazy_greedy(
+        instance, k), resolution=0.0) == 1
 
 
 def test_lazy_zero_phi_matches_exhaustive_oracle():
@@ -247,7 +271,7 @@ def test_baseline_select_random_covers_all_at_full_budget():
 def test_baseline_select_degree_picks_star_center():
     star = build_network(5, [(0, v, 1.0) for v in range(1, 5)])
     inst = Instance(star, np.full(5, 0.5), np.array([0.9, 0.1, 0.1, 0.1, 0.1]))
-    res = baseline_select(inst, k=1, kind="max_degree")
+    res = baseline_select(inst, k=1, kind="degree")
     assert list(res.stooges) == [0]
     assert res.alpha_final[0] == 1.0  # s_0 > theta
 
@@ -262,8 +286,8 @@ def test_baseline_select_centrality_picks_path_middle():
 def test_baseline_seed_only_matters_for_random():
     rng = np.random.default_rng(58)
     inst = random_connected_instance(rng, 8, alpha_range=(0.5, 0.5))
-    a = baseline_select(inst, 3, "max_degree", seed=1)
-    b = baseline_select(inst, 3, "max_degree", seed=2)
+    a = baseline_select(inst, 3, "degree", seed=1)
+    b = baseline_select(inst, 3, "degree", seed=2)
     assert list(a.stooges) == list(b.stooges)
     r1 = baseline_select(inst, 3, "random", seed=1)
     r2 = baseline_select(inst, 3, "random", seed=1)

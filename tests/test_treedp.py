@@ -246,6 +246,19 @@ class TestTreeDP:
             paid = sum(int(tree.costs[u]) for u in res.assignment)
             assert paid == res.cost
 
+    def test_apply_assignment_rejects_labels_of_other_modes(self):
+        options = {"resistance": ("alpha1", "alpha0"), "opinion": ("s1",),
+                   "both": ("one",)}
+        for mode in MODES:
+            tree = tree_instance([(0, 1)], [0.5, 0.5], [0.2, 0.4],
+                                 mode=mode)
+            for label in ("keep", "alpha1", "alpha0", "s1", "one"):
+                if label in options[mode]:
+                    apply_assignment(tree, {1: label})
+                else:
+                    with pytest.raises(ValueError, match=mode):
+                        apply_assignment(tree, {1: label})
+
     def test_matches_brute_force_all_modes(self):
         # The last thirty trees carry non-unit weights and self-loops.
         rng = np.random.default_rng(2024)
