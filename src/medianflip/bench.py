@@ -130,21 +130,19 @@ class ExperimentReport:
     aggregates: dict
 
 
-def _tree_dp_runner(instance, budget, theta, mode):
+def _tree_dp_answer(tree, dp, budget, theta):
     """The DP's assignment, or none when it is infeasible or over budget;
     flipped means the DP's strict majority, never met by no stooges."""
-    tree = TreeInstance(instance, mode=mode)
-    res = tree_dp_min_stooges(tree, theta=theta)
-    fits = res.feasible and res.cost <= budget
-    assignment = res.assignment if fits else {}
+    fits = dp.feasible and dp.cost <= budget
+    assignment = dp.assignment if fits else {}
     alpha, s = apply_assignment(tree, assignment)
     stooges = {
         u: (0.0 if label == "alpha0" else 1.0)
         for u, label in assignment.items()
     }
     result = InterventionResult.of(
-        instance, alpha, tree_equilibrium(tree, alpha=alpha, s=s), theta,
-        stooges, s=s)
+        tree.instance, alpha, tree_equilibrium(tree, alpha=alpha, s=s),
+        theta, stooges, s=s)
     return result if fits else replace(result, flipped=False)
 
 
@@ -161,40 +159,47 @@ def method_runner(method, theta=0.5, seed=None, params=None):
 
     The budget argument is in the method's native units: a stooge count
     for discrete methods, an l1 radius for huber and sigmoid. params may
-    set only the options METHOD_OPTIONS lists for the method.
+    set only the options METHOD_OPTIONS lists for the method; each goes
+    to the function or config that reads it, whose own default applies
+    when it is not given. The work no budget changes, huber's find_c and
+    the tree DP, runs once per live instance.
     """
     _check_options(method, params)
     params = dict(params or {})
-    c_cache = weakref.WeakKeyDictionary()
+    ascent = {k: params.pop(k) for k in ("eta", "max_iters") if k in params}
+    # the configs are built here, so a bad option fails before any run
+    given_c = params.get("c")
+    huber = None if given_c is None else HuberConfig(c=given_c)
+    sigmoid = (SigmoidConfig(theta=theta, **params) if method == "sigmoid"
+               else None)
+    gain = score_total if method == "greedy-score" else None
+    # keyed weakly, and no value holds its instance (a TreeInstance
+    # would), so the memo keeps no instance alive
+    memo = weakref.WeakKeyDictionary()
 
-    def opt_config(budget):
-        keys = ("eta", "max_iters")
-        kwargs = {k: params[k] for k in keys if k in params}
-        return OptimizerConfig(budget_k=budget, **kwargs)
+    def once(instance, work):
+        if instance not in memo:
+            memo[instance] = work()
+        return memo[instance]
 
     def run(instance, budget):
         if method == "huber":
-            c = params.get("c")
-            if c is None:
-                if instance not in c_cache:
-                    c_cache[instance] = find_c(instance, seed=seed)
-                c = c_cache[instance]
-            huber = HuberConfig(c=c)
-            return projected_huber(instance, opt_config(budget), huber,
-                                   theta=theta)
+            config = huber if huber is not None else once(
+                instance, lambda: HuberConfig(c=find_c(instance, seed=seed)))
+            return projected_huber(instance,
+                                   OptimizerConfig(budget_k=budget, **ascent),
+                                   config, theta=theta)
         if method == "sigmoid":
-            sig = SigmoidConfig(theta=theta, tau=params.get("tau", 25.0))
-            return sigmoid_gd(instance, opt_config(budget), sig)
-        if method == "greedy":
-            return lazy_greedy(instance, int(budget),
-                               phi=params.get("phi", 0.8), theta=theta)
-        if method == "greedy-score":
-            return lazy_greedy(instance, int(budget),
-                               phi=params.get("phi", 0.8), gain=score_total,
-                               theta=theta)
+            return sigmoid_gd(instance,
+                              OptimizerConfig(budget_k=budget, **ascent),
+                              sigmoid)
+        if method in ("greedy", "greedy-score"):
+            return lazy_greedy(instance, int(budget), gain=gain, theta=theta,
+                               **params)
         if method == "tree-dp":
-            return _tree_dp_runner(instance, int(budget), theta,
-                                   params.get("mode", "resistance"))
+            tree = TreeInstance(instance, **params)
+            dp = once(instance, lambda: tree_dp_min_stooges(tree, theta=theta))
+            return _tree_dp_answer(tree, dp, int(budget), theta)
         return baseline_select(instance, int(budget), method, theta=theta,
                                seed=seed)
 
@@ -241,8 +246,6 @@ def _run_one(config, method, seed):
         instance=config.name, method=method, seed=seed, n=n,
         m=instance.network.edge_count, theta=config.theta,
     )
-    runner = stooge_runner(method, theta=config.theta, seed=seed,
-                           params=config.method_params.get(method))
     answers = {}
 
     def recording(inst, budget):
@@ -250,6 +253,8 @@ def _run_one(config, method, seed):
         return answers[budget]
 
     try:
+        runner = stooge_runner(method, theta=config.theta, seed=seed,
+                               params=config.method_params.get(method))
         start = time.perf_counter()
         # the flip search and a zero budget read the unmodified instance
         base = None if config.budget else equilibrium(instance).x_star

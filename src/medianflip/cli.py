@@ -31,6 +31,7 @@ from .instance_io import (
     instance_stats,
     load_edge_list,
     load_instance,
+    read_json_object,
     save_instance,
 )
 from .network import NetworkError
@@ -177,8 +178,11 @@ def _check_keys(doc, cls, where):
 
 
 def _from_doc(cls, doc, where, *args):
-    """cls(*args, **doc); keys that name no field of cls, missing
-    required keys and values of the wrong kind are invalid input."""
+    """cls(*args, **doc); a doc that is not an object, keys that name no
+    field of cls, missing required keys and values of the wrong kind
+    are invalid input."""
+    if not isinstance(doc, dict):
+        raise InstanceIOError(f"{where} is not a JSON object")
     _check_keys(doc, cls, where)
     try:
         return cls(*args, **doc)
@@ -187,10 +191,7 @@ def _from_doc(cls, doc, where, *args):
 
 
 def _cmd_bench(args):
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InstanceIOError("config must be a JSON object")
+    doc = read_json_object(args.config)
     _check_keys(doc, ExperimentConfig, "config")  # before any generation
     source = doc.pop("instance", None)
     if isinstance(source, str):
@@ -215,17 +216,10 @@ def _cmd_bench(args):
 
 
 def _cmd_jaccard(args):
-    with open(args.report) as fh:
-        doc = json.load(fh)
-    records = [
-        RunRecord(
-            instance=r["instance"], method=r["method"], seed=r["seed"],
-            n=r["n"], m=r["m"], theta=r["theta"],
-            stooges=tuple(r.get("stooges", ())),
-            error=r.get("error"),
-        )
-        for r in doc.get("records", [])
-    ]
+    rows = read_json_object(args.report).get("records", [])
+    if not isinstance(rows, list):
+        raise InstanceIOError(f"{args.report}: 'records' is not a list")
+    records = [_from_doc(RunRecord, r, "report record") for r in rows]
     matrix, methods = compare_stooges(ExperimentReport(records, {}))
     print(" ".join(methods))
     for row in matrix:

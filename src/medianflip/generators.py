@@ -69,11 +69,32 @@ class GeneratorSpec:
             raise ValueError(f"unknown params for {self.topology}: {unknown}")
         merged.update(self.params)
         for key, val in merged.items():
-            if key in ("swap", "sizes"):
-                continue
-            if not np.isscalar(val) or val <= 0:
-                raise ValueError(f"param {key} must be positive, got {val!r}")
+            if key == "swap":
+                ok, kind = isinstance(val, bool), "a boolean"
+            elif key in ("p", "inter", "intra"):  # NaN fails
+                ok, kind = _real(val) and 0 < val <= 1, "positive, at most 1"
+            elif key == "sizes":  # one count per community
+                many = val if isinstance(val, (list, tuple)) else [val]
+                merged[key] = tuple(_count(v) for v in many)
+                ok = bool(many) and None not in merged[key]
+                kind = "positive integers"
+            else:
+                merged[key] = _count(val)
+                ok, kind = merged[key] is not None, "a positive integer"
+            if not ok:
+                raise ValueError(f"param {key} must be {kind}, got {val!r}")
         self.params = merged
+
+
+def _real(val):
+    return (isinstance(val, (int, float, np.integer, np.floating))
+            and not isinstance(val, bool))
+
+
+def _count(val):
+    """int(val) for an integral number >= 1, else None."""
+    ok = _real(val) and 1 <= val < np.inf and val % 1 == 0
+    return int(val) if ok else None
 
 
 def _grid_edges(rows, cols):

@@ -35,14 +35,23 @@ def save_instance(instance, path):
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_instance(path):
-    """Instance from the canonical document that save_instance writes.
-    Edge-list and opinion file pairs are read by load_edge_list."""
+def read_json_object(path):
+    """The JSON object in the file at path; invalid JSON or a document
+    of another kind is an InstanceIOError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceIOError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceIOError(f"{path}: not a JSON object")
+    return doc
+
+
+def load_instance(path):
+    """Instance from the canonical document that save_instance writes.
+    Edge-list and opinion file pairs are read by load_edge_list."""
+    doc = read_json_object(path)
     missing = {"n", "directed", "edges", "alpha", "s"} - set(doc)
     if missing:
         raise InstanceIOError(f"{path}: missing fields {sorted(missing)}")

@@ -182,6 +182,7 @@ class Instance:
 
 
 def validate_unit_interval(vec, name):
-    if np.any(vec < 0) or np.any(vec > 1):
-        bad = int(np.argmax((vec < 0) | (vec > 1)))
+    outside = ~((vec >= 0) & (vec <= 1))  # NaN fails both comparisons
+    if outside.any():
+        bad = int(np.argmax(outside))
         raise NetworkError(f"{name}[{bad}] = {vec[bad]} outside [0, 1]")

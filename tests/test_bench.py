@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import medianflip.greedy as greedy
 from medianflip import (
     GeneratorSpec,
     Instance,
+    OptimizerConfig,
+    SigmoidConfig,
     build_network,
     equilibrium,
     generate,
@@ -23,11 +27,16 @@ from medianflip.bench import (
     RunRecord,
     compare_stooges,
     emit_report,
+    flip_budget,
     method_runner,
     run_experiment,
     stooge_runner,
 )
-from medianflip.greedy import min_budget_to_flip, round_to_stooges
+from medianflip.greedy import (
+    min_budget_to_flip,
+    round_to_stooges,
+    score_total,
+)
 from medianflip.stats import median
 
 from helpers import random_connected_instance
@@ -94,6 +103,58 @@ class TestMethodRunner:
             runner(inst, 0.5)
             runner(inst, 1.0)
         assert len(calls) == 40
+
+    def test_given_c_of_zero_fails_when_the_runner_is_built(self):
+        with pytest.raises(ValueError, match="c must be positive"):
+            method_runner("huber", params={"c": 0})
+
+    def test_tree_dp_search_solves_the_dp_once(self, monkeypatch):
+        calls = []
+        real = bench.tree_dp_min_stooges
+        monkeypatch.setattr(bench, "tree_dp_min_stooges", lambda *a, **k: (
+            calls.append(1), real(*a, **k))[1])
+        inst = generate(GeneratorSpec("org_chart", seed=0,
+                                      params={"n": 120}))
+        runner = stooge_runner("tree-dp", theta=0.5, seed=0,
+                               params={"mode": "both"})
+        assert flip_budget(inst, "tree-dp", runner, theta=0.5,
+                           max_budget=None, resolution=0.5) == 10
+        assert len(calls) == 1
+        # every budget still gets an answer of its own
+        first, again = runner(inst, 10), runner(inst, 10)
+        assert first is not again and first.flipped and again.flipped
+        assert first.alpha_final is not again.alpha_final
+
+    def test_tree_dp_memo_holds_instances_weakly(self):
+        runner = method_runner("tree-dp")
+        refs = []
+        for seed in range(3):
+            inst = generate(GeneratorSpec("org_chart", seed=seed,
+                                          params={"n": 12}))
+            runner(inst, 1)
+            refs.append(weakref.ref(inst))
+        del inst
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
+
+    def test_given_options_reach_their_readers(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "lazy_greedy",
+                            lambda *args, **kwargs: calls.append(kwargs))
+        monkeypatch.setattr(bench, "sigmoid_gd",
+                            lambda *args: calls.append(args[1:]))
+        inst = low_instance()
+        method_runner("greedy", params={"phi": 0.3})(inst, 1)
+        method_runner("greedy-score")(inst, 1)
+        method_runner("sigmoid", theta=0.4,
+                      params={"tau": 7.0, "eta": 0.2})(inst, 0.5)
+        method_runner("sigmoid")(inst, 0.5)
+        assert calls[0] == {"gain": None, "theta": 0.5, "phi": 0.3}
+        # an option not given is left to the reader's own default
+        assert calls[1] == {"gain": score_total, "theta": 0.5}
+        assert calls[2] == (OptimizerConfig(0.5, eta=0.2),
+                            SigmoidConfig(theta=0.4, tau=7.0))
+        assert calls[3] == (OptimizerConfig(0.5), SigmoidConfig())
 
     @pytest.mark.parametrize("method", METHODS)
     def test_rejects_options_the_method_does_not_read(self, method):
@@ -337,7 +398,8 @@ class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_report(ExperimentReport([], {}), path)
-        rows = list(csv.reader(open(path)))
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
         assert rows == [list(CSV_COLUMNS)]
 
     def test_one_record_one_row(self, tmp_path):
@@ -346,7 +408,8 @@ class TestEmitReport:
                         flipped=True, final_median=0.6, runtime_ms=1.5)
         path = tmp_path / "out.csv"
         emit_report(ExperimentReport([rec], {}), path)
-        rows = list(csv.reader(open(path)))
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 2
         assert rows[1][0] == "i" and rows[1][9] == "true"
 
@@ -357,7 +420,8 @@ class TestEmitReport:
         report = run_experiment(config)
         path = tmp_path / "out.json"
         emit_report(report, path, format="json")
-        doc = json.loads(open(path).read())
+        with open(path) as fh:
+            doc = json.load(fh)
         assert len(doc["records"]) == 1
         rec = doc["records"][0]
         for col in CSV_COLUMNS:

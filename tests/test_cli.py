@@ -93,6 +93,18 @@ class TestGen:
             main(["gen", "--topology", "torus", "--out", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("topology,param", [
+        ("grid", "rows=2.5"), ("grid", "rows=true"), ("gnp", "p=nan")])
+    def test_mistyped_param_exits_invalid(self, tmp_path, capsys, topology,
+                                          param):
+        out = tmp_path / "x.json"
+        code = main(["gen", "--topology", topology, "--out", str(out),
+                     "--param", param])
+        assert code == EXIT_INVALID
+        assert f"param {param.split('=')[0]} must be" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_param_exits_invalid(self, tmp_path, capsys):
         code = main(["gen", "--topology", "grid", "--out",
                      str(tmp_path / "x.json"), "--param", "bogus=3"])
@@ -152,6 +164,27 @@ class TestSolve:
         code = main(["solve", "--instance", str(path)])
         assert code == EXIT_INVALID
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        5, ["n", "directed", "edges", "alpha", "s"]])
+    def test_document_not_an_object_exits_invalid(self, tmp_path, capsys,
+                                                  doc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", "--instance", str(path)])
+        assert code == EXIT_INVALID
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_nan_alpha_exits_invalid(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        # json writes and reads a float NaN as the bare token NaN
+        doc = json.loads(path.read_text())
+        doc["alpha"][2] = float("nan")
+        path.write_text(json.dumps(doc))
+        code = main(["solve", "--instance", str(path)])
+        assert code == EXIT_INVALID
+        assert "alpha[2] = nan outside [0, 1]" in capsys.readouterr().err
 
     def test_no_input_exits_invalid(self, capsys):
         code = main(["solve"])
@@ -405,6 +438,20 @@ class TestBench:
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_INVALID
 
+    def test_malformed_config_exits_invalid(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([{"instance": "x.json"}]))
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        assert "not a JSON object" in capsys.readouterr().err
+        cfg = self.write_config(tmp_path, instance={
+            "topology": "grid", "params": {"rows": 2.5, "cols": 3}})
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        assert "param rows must be" in capsys.readouterr().err
+
     def test_unknown_keys_exit_invalid(self, tmp_path, capsys):
         # "seed" for "seeds", "budgets" for "budget", and "n" outside
         # the generator's "params"
@@ -463,6 +510,20 @@ class TestJaccard:
             assert matrix[i][i] == pytest.approx(1.0)
             for j in range(len(methods)):
                 assert matrix[i][j] == pytest.approx(matrix[j][i])
+
+    @pytest.mark.parametrize("doc,problem", [
+        ([1], "not a JSON object"),
+        ({"records": [5]}, "report record is not a JSON object"),
+        ({"records": 5}, "'records' is not a list"),
+        ({"records": [{"method": "greedy"}]}, "report record"),
+        ({"records": [{"stooge": [1]}]}, "unknown keys ['stooge']")])
+    def test_malformed_report_exits_invalid(self, tmp_path, capsys, doc,
+                                            problem):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        code = main(["jaccard", "--report", str(report)])
+        assert code == EXIT_INVALID
+        assert problem in capsys.readouterr().err
 
     def test_missing_report_exits_invalid(self, tmp_path, capsys):
         code = main(["jaccard", "--report", str(tmp_path / "nope.json")])

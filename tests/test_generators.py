@@ -34,6 +34,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             GeneratorSpec(topology="gnp", params={"p": 0.0})
 
+    @pytest.mark.parametrize("topology,params", [
+        ("grid", {"rows": 2.5}), ("grid", {"cols": True}),
+        ("grid", {"rows": float("nan")}), ("grid", {"rows": float("inf")}),
+        ("grid", {"rows": "3"}), ("ba", {"attach": 0}),
+        ("org_chart", {"max_children": 2.5}), ("gnp", {"p": float("nan")}),
+        ("gnp", {"p": 1.5}), ("gnp", {"p": True}),
+        ("communities", {"inter": float("inf")}),
+        ("communities", {"swap": 1}), ("communities", {"sizes": (5, 2.5)}),
+        ("communities", {"sizes": ()}), ("communities", {"sizes": (5, 0)}),
+        ("communities", {"sizes": (True, 5)})])
+    def test_mistyped_param(self, topology, params):
+        (key, val), = params.items()
+        with pytest.raises(ValueError, match=f"param {key} must be"):
+            GeneratorSpec(topology=topology, params=params)
+
+    def test_integral_params_become_ints(self):
+        spec = GeneratorSpec("grid", params={"rows": 3.0, "cols": np.int64(2)})
+        assert spec.params == {"rows": 3, "cols": 2}
+        assert all(type(v) is int for v in spec.params.values())
+        sizes = GeneratorSpec("communities", params={"sizes": [4.0, 3]})
+        assert sizes.params["sizes"] == (4, 3)
+        net = generate_network("grid", spec.params, np.random.default_rng(0))
+        assert net.node_count == 6
+
     def test_unknown_param(self):
         with pytest.raises(ValueError, match="unknown params"):
             GeneratorSpec(topology="star", params={"rows": 3})

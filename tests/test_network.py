@@ -129,6 +129,16 @@ def test_instance_validates_shapes_and_range():
         Instance(net, [0.5, 0.5], [-0.1, 0.5])
 
 
+@pytest.mark.parametrize("bad,shown", [(float("nan"), "nan"),
+                                       (float("inf"), "inf")])
+def test_instance_rejects_non_finite_entries(bad, shown):
+    net = build_network(2, [(0, 1, 1.0)])
+    with pytest.raises(NetworkError, match=rf"alpha\[1\] = {shown} outside"):
+        Instance(net, [0.5, bad], [0.5, 0.5])
+    with pytest.raises(NetworkError, match=rf"s\[0\] = {shown} outside"):
+        Instance(net, [0.5, 0.5], [bad, 0.5])
+
+
 def test_with_alpha_leaves_original_untouched():
     net = build_network(2, [(0, 1, 1.0)])
     inst = Instance(net, [0.5, 0.5], [0.0, 1.0])
