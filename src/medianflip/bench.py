@@ -15,7 +15,7 @@ import logging
 import time
 import weakref
 from csv import writer as csv_writer
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .greedy import (
     min_budget_to_flip,
     round_to_stooges,
     score_total,
+    validate_phi,
 )
 from .network import NetworkError
 from .optimize import (
@@ -41,6 +42,7 @@ from .treedp import (
     apply_assignment,
     tree_dp_min_stooges,
     tree_equilibrium,
+    validate_mode,
 )
 
 log = logging.getLogger(__name__)
@@ -95,14 +97,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if not self.seeds:
             raise ValueError("need at least one seed (repetitions >= 1)")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.max_budget is not None and self.max_budget < 0:
-            raise ValueError("max_budget must be nonnegative")
+        if self.budget is not None:
+            for method in self.methods:
+                _check_budget(method, self.budget)
+        if self.max_budget is not None and not 0 <= self.max_budget < np.inf:
+            raise ValueError("max_budget must be finite and nonnegative")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
-        for method, params in self.method_params.items():
-            _check_options(method, params)
+        # building the runners checks theta and every option's value, so
+        # a bad config fails before any instance is run
+        for method in dict.fromkeys((*self.methods, *self.method_params)):
+            method_runner(method, theta=self.theta,
+                          params=self.method_params.get(method))
 
 
 @dataclass
@@ -154,6 +160,15 @@ def _check_options(method, params):
         raise ValueError(f"{method} reads no option {sorted(unread)}")
 
 
+def _check_budget(method, budget):
+    """A continuous budget is a finite number >= 0, a discrete one a
+    whole number >= 0; NaN is neither."""
+    continuous = method in CONTINUOUS_METHODS
+    if not (0 <= budget < np.inf and (continuous or budget % 1 == 0)):
+        kind = "a finite number" if continuous else "a whole number"
+        raise ValueError(f"{method} budget must be {kind} >= 0, got {budget}")
+
+
 def method_runner(method, theta=0.5, seed=None, params=None):
     """Build runner(instance, budget) -> InterventionResult.
 
@@ -161,17 +176,27 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     for discrete methods, an l1 radius for huber and sigmoid. params may
     set only the options METHOD_OPTIONS lists for the method; each goes
     to the function or config that reads it, whose own default applies
-    when it is not given. The work no budget changes, huber's find_c and
-    the tree DP, runs once per live instance.
+    when it is not given (a value of None is not given). A non-finite
+    theta and every given value are rejected here, before any run. The
+    work no budget changes, huber's find_c and the tree DP, runs once
+    per live instance.
     """
     _check_options(method, params)
-    params = dict(params or {})
-    ascent = {k: params.pop(k) for k in ("eta", "max_iters") if k in params}
-    # the configs are built here, so a bad option fails before any run
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    params = {k: v for k, v in (params or {}).items() if v is not None}
+    # each value is checked by the config or function that reads it
+    ascent = OptimizerConfig(0.0, **{k: params.pop(k)
+                                     for k in ("eta", "max_iters")
+                                     if k in params})
     given_c = params.get("c")
     huber = None if given_c is None else HuberConfig(c=given_c)
     sigmoid = (SigmoidConfig(theta=theta, **params) if method == "sigmoid"
                else None)
+    if "phi" in params:
+        validate_phi(params["phi"])
+    if "mode" in params:
+        validate_mode(params["mode"])
     gain = score_total if method == "greedy-score" else None
     # keyed weakly, and no value holds its instance (a TreeInstance
     # would), so the memo keeps no instance alive
@@ -183,25 +208,23 @@ def method_runner(method, theta=0.5, seed=None, params=None):
         return memo[instance]
 
     def run(instance, budget):
+        _check_budget(method, budget)
         if method == "huber":
             config = huber if huber is not None else once(
                 instance, lambda: HuberConfig(c=find_c(instance, seed=seed)))
-            return projected_huber(instance,
-                                   OptimizerConfig(budget_k=budget, **ascent),
+            return projected_huber(instance, replace(ascent, budget_k=budget),
                                    config, theta=theta)
         if method == "sigmoid":
-            return sigmoid_gd(instance,
-                              OptimizerConfig(budget_k=budget, **ascent),
+            return sigmoid_gd(instance, replace(ascent, budget_k=budget),
                               sigmoid)
+        k = int(budget)
         if method in ("greedy", "greedy-score"):
-            return lazy_greedy(instance, int(budget), gain=gain, theta=theta,
-                               **params)
+            return lazy_greedy(instance, k, gain=gain, theta=theta, **params)
         if method == "tree-dp":
             tree = TreeInstance(instance, **params)
             dp = once(instance, lambda: tree_dp_min_stooges(tree, theta=theta))
-            return _tree_dp_answer(tree, dp, int(budget), theta)
-        return baseline_select(instance, int(budget), method, theta=theta,
-                               seed=seed)
+            return _tree_dp_answer(tree, dp, k, theta)
+        return baseline_select(instance, k, method, theta=theta, seed=seed)
 
     return run
 
@@ -329,18 +352,8 @@ def emit_report(report, path, format="csv"):
                 out.writerow([_csv_cell(getattr(r, col)) for col in CSV_COLUMNS])
         return path
     if format == "json":
-        doc = {
-            "records": [
-                {
-                    **{col: getattr(r, col) for col in CSV_COLUMNS},
-                    "percent_of_n": r.percent_of_n,
-                    "stooges": list(r.stooges),
-                    "error": r.error,
-                }
-                for r in report.records
-            ],
-            "aggregates": report.aggregates,
-        }
+        doc = {"records": [asdict(r) for r in report.records],
+               "aggregates": report.aggregates}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

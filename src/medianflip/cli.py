@@ -92,8 +92,7 @@ def _cmd_solve(args):
     instance = _load_from_args(args)
     stats = instance_stats(instance)
     if args.json:
-        print(json.dumps({"n": stats.n, "m": stats.m,
-                          "median": stats.median, "mean": stats.mean}))
+        print(json.dumps(stats._asdict()))
     else:
         print(f"n {stats.n}")
         print(f"m {stats.m}")
@@ -171,19 +170,15 @@ def _cmd_flip(args):
     return EXIT_OK
 
 
-def _check_keys(doc, cls, where):
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InstanceIOError(f"unknown keys {sorted(unknown)} in {where}")
-
-
 def _from_doc(cls, doc, where, *args):
     """cls(*args, **doc); a doc that is not an object, keys that name no
     field of cls, missing required keys and values of the wrong kind
     are invalid input."""
     if not isinstance(doc, dict):
         raise InstanceIOError(f"{where} is not a JSON object")
-    _check_keys(doc, cls, where)
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InstanceIOError(f"unknown keys {sorted(unknown)} in {where}")
     try:
         return cls(*args, **doc)
     except TypeError as exc:
@@ -192,17 +187,17 @@ def _from_doc(cls, doc, where, *args):
 
 def _cmd_bench(args):
     doc = read_json_object(args.config)
-    _check_keys(doc, ExperimentConfig, "config")  # before any generation
     source = doc.pop("instance", None)
+    # the config is checked before its instance is loaded or generated
+    config = _from_doc(ExperimentConfig, doc, "config", None)
     if isinstance(source, str):
-        instance = load_instance(source)
+        config.instance = load_instance(source)
     elif isinstance(source, dict):
-        instance = generate(_from_doc(GeneratorSpec, source,
-                                      "config 'instance'"))
+        config.instance = generate(_from_doc(GeneratorSpec, source,
+                                             "config 'instance'"))
     else:
         raise InstanceIOError(
             "config 'instance' must be a path or a spec object")
-    config = _from_doc(ExperimentConfig, doc, "config", instance)
     report = run_experiment(config)
     emit_report(report, args.out, format="csv")
     if args.json:

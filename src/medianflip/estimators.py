@@ -35,7 +35,7 @@ class HuberConfig:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:  # NaN fails
             raise ValueError(f"c must be positive, got {self.c}")
 
 
@@ -47,13 +47,13 @@ class SigmoidConfig:
     tau: float = 25.0
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 def huber_loss(x, c):
     """H_c(x): quadratic for |x| <= c, linear with matched slope beyond."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     x = abs(x)
     if x <= c:

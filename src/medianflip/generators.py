@@ -9,27 +9,7 @@ import numpy as np
 
 from .network import Instance, build_network
 
-TOPOLOGIES = (
-    "grid", "star", "gnp", "random_tree", "ba", "communities",
-    "depth_tree", "org_chart",
-)
 DISTRIBUTIONS = ("normal", "lognormal", "bimodal", "file")
-
-DEFAULT_PARAMS = {
-    "grid": {"rows": 10, "cols": 10},
-    "star": {"n": 100},
-    "gnp": {"n": 100, "p": 0.05},
-    "random_tree": {"n": 100},
-    "ba": {"n": 100, "attach": 5},
-    "communities": {
-        "sizes": (50, 10, 10, 10, 10, 10),
-        "inter": 0.3,
-        "intra": 0.5,
-        "swap": False,
-    },
-    "depth_tree": {"n": 100, "window": 5},
-    "org_chart": {"n": 100, "min_children": 2, "max_children": 5},
-}
 
 GNP_RETRY_CAP = 100
 # redraw rounds before rejection sampling of opinions gives up
@@ -63,25 +43,14 @@ class GeneratorSpec:
             )
         if self.dist == "file" and self.opinion_file is None:
             raise ValueError("dist 'file' requires opinion_file")
-        merged = dict(DEFAULT_PARAMS[self.topology])
-        unknown = set(self.params) - set(merged)
+        defaults = GENERATORS[self.topology][0]
+        unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown params for {self.topology}: {unknown}")
-        merged.update(self.params)
+        merged = {**defaults, **self.params}
         for key, val in merged.items():
-            if key == "swap":
-                ok, kind = isinstance(val, bool), "a boolean"
-            elif key in ("p", "inter", "intra"):  # NaN fails
-                ok, kind = _real(val) and 0 < val <= 1, "positive, at most 1"
-            elif key == "sizes":  # one count per community
-                many = val if isinstance(val, (list, tuple)) else [val]
-                merged[key] = tuple(_count(v) for v in many)
-                ok = bool(many) and None not in merged[key]
-                kind = "positive integers"
-            else:
-                merged[key] = _count(val)
-                ok, kind = merged[key] is not None, "a positive integer"
-            if not ok:
+            merged[key], kind = _checked(defaults[key], val)
+            if merged[key] is None:
                 raise ValueError(f"param {key} must be {kind}, got {val!r}")
         self.params = merged
 
@@ -97,7 +66,22 @@ def _count(val):
     return int(val) if ok else None
 
 
-def _grid_edges(rows, cols):
+def _checked(default, val):
+    """(val as its default's kind, or None when it is not one; that kind)."""
+    if isinstance(default, bool):
+        return (val if isinstance(val, bool) else None), "a boolean"
+    if isinstance(default, float):  # NaN fails
+        ok = _real(val) and 0 < val <= 1
+        return (val if ok else None), "positive, at most 1"
+    if isinstance(default, tuple):  # one count per entry
+        many = val if isinstance(val, (list, tuple)) else [val]
+        counts = tuple(_count(v) for v in many)
+        ok = bool(many) and None not in counts
+        return (counts if ok else None), "positive integers"
+    return _count(val), "a positive integer"
+
+
+def _grid(rng, rows, cols):
     edges = []
     for i in range(rows):
         for j in range(cols):
@@ -106,14 +90,14 @@ def _grid_edges(rows, cols):
                 edges.append((u, u + 1, 1.0))
             if i + 1 < rows:
                 edges.append((u, u + cols, 1.0))
-    return edges
+    return build_network(rows * cols, edges)
 
 
-def _star_edges(n):
-    return [(0, v, 1.0) for v in range(1, n)]
+def _star(rng, n):
+    return build_network(n, [(0, v, 1.0) for v in range(1, n)])
 
 
-def _gnp_network(rng, n, p):
+def _gnp(rng, n, p):
     for _ in range(GNP_RETRY_CAP):
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < p
@@ -127,13 +111,13 @@ def _gnp_network(rng, n, p):
     )
 
 
-def _random_tree_edges(rng, n):
+def _random_tree(rng, n):
     """Uniform spanning tree on n labeled nodes via a decoded random
     code sequence of length n-2."""
     if n == 1:
-        return []
+        return build_network(n, [])
     if n == 2:
-        return [(0, 1, 1.0)]
+        return build_network(n, [(0, 1, 1.0)])
     seq = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=int)
     for x in seq:
@@ -150,10 +134,10 @@ def _random_tree_edges(rng, n):
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((int(u), int(v), 1.0))
-    return edges
+    return build_network(n, edges)
 
 
-def _ba_edges(rng, n, attach):
+def _ba(rng, n, attach):
     """Preferential attachment: each new node links to `attach` distinct
     nodes drawn proportionally to current degree (via the repeated-node
     list), seeded by an initial batch of isolated nodes."""
@@ -171,10 +155,10 @@ def _ba_edges(rng, n, attach):
         while len(chosen) < attach:
             chosen.add(repeated[int(rng.integers(0, len(repeated)))])
         targets = sorted(chosen)
-    return edges
+    return build_network(n, edges)
 
 
-def _communities_edges(rng, sizes, inter, intra, swap):
+def _communities(rng, sizes, inter, intra, swap):
     if swap:
         inter, intra = intra, inter
     n = int(np.sum(sizes))
@@ -183,10 +167,11 @@ def _communities_edges(rng, sizes, inter, intra, swap):
     same = block[iu] == block[ju]
     prob = np.where(same, intra, inter)
     mask = rng.random(iu.size) < prob
-    return [(int(u), int(v), 1.0) for u, v in zip(iu[mask], ju[mask])]
+    edges = [(int(u), int(v), 1.0) for u, v in zip(iu[mask], ju[mask])]
+    return build_network(n, edges)
 
 
-def _depth_tree_edges(rng, n, window):
+def _depth_tree(rng, n, window):
     """Sequential attachment to one of the last `window` nodes, giving
     depth at least n / window; arcs point parent to child."""
     edges = []
@@ -194,10 +179,10 @@ def _depth_tree_edges(rng, n, window):
         lo = max(0, v - window)
         parent = int(rng.integers(lo, v))
         edges.append((parent, v, 1.0))
-    return edges
+    return build_network(n, edges, directed=True)
 
 
-def _org_chart_edges(rng, n, min_children, max_children):
+def _org_chart(rng, n, min_children, max_children):
     """Top-down tree where each node receives a uniform 2..5 children
     until the node budget runs out; arcs point parent to child."""
     if min_children > max_children:
@@ -214,39 +199,32 @@ def _org_chart_edges(rng, n, min_children, max_children):
             edges.append((u, next_id, 1.0))
             queue.append(next_id)
             next_id += 1
-    return edges
+    return build_network(n, edges, directed=True)
+
+
+# topology -> (default params, builder(rng, **params) -> Network). Each
+# parameter's kind is its default's: a bool, a float in (0, 1], a tuple
+# of one or more counts, or an int count (an integral number >= 1).
+GENERATORS = {
+    "grid": ({"rows": 10, "cols": 10}, _grid),
+    "star": ({"n": 100}, _star),
+    "gnp": ({"n": 100, "p": 0.05}, _gnp),
+    "random_tree": ({"n": 100}, _random_tree),
+    "ba": ({"n": 100, "attach": 5}, _ba),
+    "communities": ({"sizes": (50, 10, 10, 10, 10, 10), "inter": 0.3,
+                     "intra": 0.5, "swap": False}, _communities),
+    "depth_tree": ({"n": 100, "window": 5}, _depth_tree),
+    "org_chart": ({"n": 100, "min_children": 2, "max_children": 5},
+                  _org_chart),
+}
+TOPOLOGIES = tuple(GENERATORS)
 
 
 def generate_network(topology, params, rng):
     """Build just the network part of a spec; directed for hierarchies."""
-    p = params
-    if topology == "grid":
-        return build_network(p["rows"] * p["cols"],
-                             _grid_edges(p["rows"], p["cols"]))
-    if topology == "star":
-        return build_network(p["n"], _star_edges(p["n"]))
-    if topology == "gnp":
-        return _gnp_network(rng, p["n"], p["p"])
-    if topology == "random_tree":
-        return build_network(p["n"], _random_tree_edges(rng, p["n"]))
-    if topology == "ba":
-        return build_network(p["n"], _ba_edges(rng, p["n"], p["attach"]))
-    if topology == "communities":
-        edges = _communities_edges(rng, p["sizes"], p["inter"], p["intra"],
-                                   p["swap"])
-        return build_network(int(np.sum(p["sizes"])), edges)
-    if topology == "depth_tree":
-        return build_network(p["n"], _depth_tree_edges(rng, p["n"],
-                                                       p["window"]),
-                             directed=True)
-    if topology == "org_chart":
-        return build_network(
-            p["n"],
-            _org_chart_edges(rng, p["n"], p["min_children"],
-                             p["max_children"]),
-            directed=True,
-        )
-    raise ValueError(f"unknown topology {topology!r}")
+    if topology not in GENERATORS:
+        raise ValueError(f"unknown topology {topology!r}")
+    return GENERATORS[topology][1](rng, **params)
 
 
 def _truncated(n, draw):

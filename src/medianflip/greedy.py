@@ -42,6 +42,11 @@ def _stooge_alpha(alpha, u, r):
     return out
 
 
+def validate_phi(phi):
+    if not 0 <= phi <= 1:  # NaN fails
+        raise ValueError(f"phi must lie in [0, 1], got {phi}")
+
+
 def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     """Select up to k stooges, one per iteration, by marginal gain of
     gain(x), the median when None (looked up at call time).
@@ -57,8 +62,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     is skipped: its stored gain becomes -inf, it is not counted as an
     evaluation, and it is never committed.
     """
-    if not 0 <= phi <= 1:
-        raise ValueError(f"phi must lie in [0, 1], got {phi}")
+    validate_phi(phi)
     if not 0 <= k <= instance.node_count:
         raise ValueError(f"k={k} outside [0, {instance.node_count}]")
     if gain is None:  # not a default: callers may replace greedy.median
@@ -216,12 +220,13 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     the given resolution, which is sound for the monotone-by-projection
     continuous methods. Returns 0 when no intervention is needed and
     None when max_budget never flips. `base` is the unmodified
-    instance's equilibrium opinions, solved here when None. A negative
-    max_budget, or a continuous resolution that is not positive, is an
-    error.
+    instance's equilibrium opinions, solved here when None. A max_budget
+    that is negative or not finite, or a continuous resolution that is
+    not positive, is an error.
     """
-    if max_budget is not None and max_budget < 0:
-        raise ValueError(f"max_budget must be nonnegative, got {max_budget}")
+    if max_budget is not None and not 0 <= max_budget < np.inf:
+        raise ValueError(
+            f"max_budget must be finite and nonnegative, got {max_budget}")
     if continuous and not resolution > 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     if base is None:

@@ -8,6 +8,7 @@ against the true median, so the best iterate by true median is returned.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,10 +36,16 @@ class OptimizerConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.eta <= 0:
+        # NaN fails every comparison, so each check is written to pass
+        if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.budget_k < 0:
+        if not self.budget_k >= 0:
             raise ValueError(f"budget_k must be nonnegative, got {self.budget_k}")
+        iters = self.max_iters
+        if not (isinstance(iters, Integral) and not isinstance(iters, bool)
+                and iters >= 1):
+            raise ValueError(
+                f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass

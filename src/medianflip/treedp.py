@@ -47,6 +47,11 @@ def is_hierarchy(network):
     return _tree_root(network) is not None
 
 
+def validate_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 @dataclass
 class TreeInstance:
     """A hierarchy instance with optional voting mask, integer stooge
@@ -64,8 +69,7 @@ class TreeInstance:
         self.root = _tree_root(net)
         if self.root is None:
             raise NetworkError("not a hierarchy: need a rooted out-tree")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        validate_mode(self.mode)
         n = net.node_count
         if self.voting is None:
             self.voting = np.ones(n, dtype=bool)

@@ -87,6 +87,37 @@ class TestConfigValidation:
             params = {name: None for name in METHOD_OPTIONS[method]}
             ExperimentConfig(low_instance(), method_params={method: params})
 
+    @pytest.mark.parametrize("key", ["budget", "max_budget"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_budgets_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match="budget must be"):
+            ExperimentConfig(low_instance(), methods=("huber", "greedy"),
+                             **{key: value})
+
+    def test_discrete_budget_must_be_whole(self):
+        ExperimentConfig(low_instance(), methods=("huber",), budget=2.5)
+        with pytest.raises(ValueError, match="greedy budget"):
+            ExperimentConfig(low_instance(), methods=("huber", "greedy"),
+                             budget=2.5)
+
+    @pytest.mark.parametrize("method_params,match", [
+        ({"huber": {"c": 0}}, "c must be positive"),
+        ({"greedy": {"phi": 2}}, "phi must lie"),
+        ({"greedy-score": {"phi": float("nan")}}, "phi must lie"),
+        ({"sigmoid": {"eta": 0}}, "eta must be positive"),
+        ({"sigmoid": {"tau": float("nan")}}, "tau must be positive"),
+        ({"huber": {"max_iters": 2.5}}, "max_iters must be"),
+        ({"tree-dp": {"mode": "all"}}, "mode must be one of")])
+    def test_option_values_checked(self, method_params, match):
+        # the method need not be among those run for its options to count
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(low_instance(), methods=("random",),
+                             method_params=method_params)
+
+    def test_theta_must_be_finite(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ExperimentConfig(low_instance(), theta=float("nan"))
+
 
 class TestMethodRunner:
     def test_find_c_once_per_live_instance(self, monkeypatch):
@@ -107,6 +138,31 @@ class TestMethodRunner:
     def test_given_c_of_zero_fails_when_the_runner_is_built(self):
         with pytest.raises(ValueError, match="c must be positive"):
             method_runner("huber", params={"c": 0})
+
+    @pytest.mark.parametrize("method,params", [
+        ("huber", {"eta": -1.0}), ("sigmoid", {"max_iters": 0}),
+        ("greedy", {"phi": 1.5}), ("tree-dp", {"mode": "pin"})])
+    def test_every_given_value_fails_when_the_runner_is_built(self, method,
+                                                               params):
+        (name, _), = params.items()
+        with pytest.raises(ValueError, match=name):
+            method_runner(method, params=params)
+
+    def test_non_finite_theta_fails_when_the_runner_is_built(self):
+        for theta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                method_runner("greedy", theta=theta)
+
+    @pytest.mark.parametrize("method,budget", [
+        ("greedy", 2.7), ("greedy", -0.5), ("greedy", float("inf")),
+        ("random", float("nan")), ("tree-dp", 1.5),
+        ("sigmoid", float("nan")), ("huber", float("inf")),
+        ("sigmoid", -0.5)])
+    def test_runner_rejects_ill_posed_budgets(self, method, budget):
+        runner = method_runner(method, params={"c": 0.1} if method == "huber"
+                               else None)
+        with pytest.raises(ValueError, match=f"{method} budget must be"):
+            runner(low_instance(), budget)
 
     def test_tree_dp_search_solves_the_dp_once(self, monkeypatch):
         calls = []
@@ -412,6 +468,15 @@ class TestEmitReport:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
         assert rows[1][0] == "i" and rows[1][9] == "true"
+
+    def test_json_records_hold_every_field(self, tmp_path):
+        record = RunRecord(instance="i", method="greedy", seed=0, n=3, m=2,
+                           theta=0.5, stooges=(2,))
+        path = tmp_path / "r.json"
+        emit_report(ExperimentReport([record], {}), path, format="json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["records"] == [{**vars(record), "stooges": [2]}]
 
     def test_json_round_trip(self, tmp_path):
         inst = low_instance()

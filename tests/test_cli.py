@@ -22,6 +22,7 @@ from medianflip import (
     min_budget_to_flip,
     save_instance,
 )
+import medianflip.cli as cli
 from medianflip.bench import flip_budget, stooge_runner
 from medianflip.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main, _parse_param
 from medianflip.equilibrium import SolverError
@@ -388,6 +389,37 @@ class TestIllPosedInput:
         assert code == EXIT_INVALID
         assert "phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,flag", [
+        ("huber", "--c"), ("sigmoid", "--tau"), ("huber", "--eta")])
+    def test_nan_tuning_constant_exits_invalid(self, grid_path, method, flag,
+                                               capsys):
+        # theta 0 is met with no stooges, so no run ever reads the value
+        # and only a check made when the runner is built can reject it
+        code = main(["flip", "--instance", grid_path, "--method", method,
+                     "--theta", "0", flag, "nan"])
+        assert code == EXIT_INVALID
+        assert "must be positive, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--method", "greedy", "--budget", "2.7"],
+        ["optimize", "--method", "greedy", "--budget", "-0.5"],
+        ["optimize", "--method", "greedy", "--budget", "inf"],
+        ["optimize", "--method", "sigmoid", "--budget", "nan"],
+        ["flip", "--method", "greedy", "--max-budget", "inf"],
+        ["flip", "--method", "sigmoid", "--max-budget", "nan"],
+        ["flip", "--method", "greedy", "--theta", "nan"],
+        ["optimize", "--method", "sigmoid", "--budget", "4",
+         "--max-iters", "0"],
+        ["optimize", "--method", "sigmoid", "--budget", "4",
+         "--max-iters", "-3"]])
+    def test_ill_posed_budget_theta_or_iters_exits_invalid(self, grid_path,
+                                                            args, capsys):
+        code = main([*args, "--instance", grid_path])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 
 class TestBench:
     def write_config(self, tmp_path, **overrides):
@@ -476,6 +508,22 @@ class TestBench:
             code = main(["bench", "--config", str(cfg),
                          "--out", str(tmp_path / "r.csv")])
             assert code == EXIT_INVALID
+            assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_range_method_params_exit_before_generation(
+            self, tmp_path, capsys, monkeypatch):
+        def generate(spec):
+            raise AssertionError("a bad config must fail before generation")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        for params in ({"huber": {"c": 0}, "greedy": {"phi": 2}},
+                       {"sigmoid": {"eta": 0}}, {"huber": {"max_iters": 2.5}},
+                       {"tree-dp": {"mode": "all"}}):
+            cfg = self.write_config(tmp_path, method_params=params)
+            code = main(["bench", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.csv")])
+            assert code == EXIT_INVALID
+            assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_json_exits_invalid(self, tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_huber_loss_rejects_bad_c():
         huber_loss(1.0, 0.0)
     with pytest.raises(ValueError):
         huber_loss(1.0, -2.0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        huber_loss(1.0, float("nan"))
 
 
 def test_config_validation():
@@ -44,6 +46,11 @@ def test_config_validation():
         HuberConfig(c=-1.0)
     with pytest.raises(ValueError):
         SigmoidConfig(tau=0.0)
+    # NaN must fail: huber_gradient would widen its bracket forever
+    with pytest.raises(ValueError, match="c must be positive"):
+        HuberConfig(c=float("nan"))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        SigmoidConfig(tau=float("nan"))
 
 
 def test_estimate_of_constant_vector():

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from medianflip.generators import (
+    TOPOLOGIES,
     GeneratorSpec,
     generate,
     generate_network,
@@ -232,3 +235,42 @@ class TestGenerate:
         a = generate(GeneratorSpec("gnp", seed=1))
         b = generate(GeneratorSpec("gnp", seed=2))
         assert not np.array_equal(a.s, b.s)
+
+
+# sha256 prefix over seeds 0 and 1 of each default instance's arc_src,
+# arc_dst, arc_w (little-endian int64 / float64), directed and s; every
+# benchmark input and seeded acceptance instance depends on these streams
+GOLDEN_DISTS = ("normal", "lognormal", "bimodal")
+GOLDEN = {
+    "grid": ("cc6fd58ea22d", "655c0a355371", "a6a2bfe94b01"),
+    "star": ("e2d6ec51811b", "784ed58a5a55", "0d5098fedd89"),
+    "gnp": ("562984d9b850", "2b2a92794ee7", "8d858baa1e20"),
+    "random_tree": ("d8fe57cad4d8", "5ce759b174d2", "c09cded73ef4"),
+    "ba": ("11d8b3023c27", "c6d7df90556e", "55b60864545e"),
+    "communities": ("24f960798084", "a381a443d05f", "4a09f26f203d"),
+    "depth_tree": ("e397b661e7af", "eb34d6e1bdcd", "3b74e6461904"),
+    "org_chart": ("28027a9fd7f0", "8a77912ba3b1", "64eccb1999f0"),
+}
+
+
+def instance_digest(topology, dist, seeds=(0, 1)):
+    h = hashlib.sha256()
+    for seed in seeds:
+        inst = generate(GeneratorSpec(topology, dist=dist, seed=seed))
+        net = inst.network
+        for arr, dtype in ((net.arc_src, "<i8"), (net.arc_dst, "<i8"),
+                           (net.arc_w, "<f8"), (inst.s, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        h.update(bytes([net.directed]))
+    return h.hexdigest()[:12]
+
+
+def test_golden_table_covers_every_topology():
+    assert tuple(GOLDEN) == TOPOLOGIES
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("dist", GOLDEN_DISTS)
+def test_generated_instances_match_golden(topology, dist):
+    expected = GOLDEN[topology][GOLDEN_DISTS.index(dist)]
+    assert instance_digest(topology, dist) == expected

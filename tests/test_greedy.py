@@ -79,8 +79,11 @@ def test_min_budget_rejects_ill_posed_searches():
     def runner(instance, k):
         raise AssertionError("the search must not run")
 
-    with pytest.raises(ValueError, match="max_budget"):
-        min_budget_to_flip(inst, runner, max_budget=-1)
+    for max_budget in (-1, float("inf"), float("nan")):
+        for continuous in (False, True):
+            with pytest.raises(ValueError, match="max_budget"):
+                min_budget_to_flip(inst, runner, max_budget=max_budget,
+                                   continuous=continuous)
     for resolution in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="resolution"):
             min_budget_to_flip(inst, runner, continuous=True,

@@ -48,6 +48,21 @@ def test_optimizer_config_validation():
         OptimizerConfig(budget_k=-1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(budget_k=1.0, eta=0.0)
+    with pytest.raises(ValueError, match="eta"):
+        OptimizerConfig(budget_k=1.0, eta=float("nan"))
+    with pytest.raises(ValueError, match="budget_k"):
+        OptimizerConfig(budget_k=float("nan"))
+
+
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, True, "5", None])
+def test_max_iters_must_be_a_positive_integer(max_iters):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        OptimizerConfig(budget_k=1.0, max_iters=max_iters)
+
+
+def test_max_iters_accepts_integers():
+    assert OptimizerConfig(1.0, max_iters=np.int64(3)).max_iters == 3
+    assert OptimizerConfig(1.0, max_iters=1).max_iters == 1
 
 
 def test_zero_budget_is_exact_no_op():
