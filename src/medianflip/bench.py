@@ -16,6 +16,7 @@ import time
 import weakref
 from csv import writer as csv_writer
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -176,14 +177,15 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     for discrete methods, an l1 radius for huber and sigmoid. params may
     set only the options METHOD_OPTIONS lists for the method; each goes
     to the function or config that reads it, whose own default applies
-    when it is not given (a value of None is not given). A non-finite
-    theta and every given value are rejected here, before any run. The
-    work no budget changes, huber's find_c and the tree DP, runs once
-    per live instance.
+    when it is not given (a value of None is not given). A theta that is
+    not a finite real number (a bool is not one) and every given value
+    are rejected here, before any run. The work no budget changes,
+    huber's find_c and the tree DP, runs once per live instance.
     """
     _check_options(method, params)
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    if (isinstance(theta, bool) or not isinstance(theta, Real)
+            or not np.isfinite(theta)):
+        raise ValueError(f"theta must be finite and real, got {theta!r}")
     params = {k: v for k, v in (params or {}).items() if v is not None}
     # each value is checked by the config or function that reads it
     ascent = OptimizerConfig(0.0, **{k: params.pop(k)

@@ -9,10 +9,11 @@ In matrix form x(t+1) = A s + (I - A) W x(t) with A = Diag(alpha), so the
 equilibrium solves X x = A s where X = I - (I - A) W. An
 EquilibriumOperator holds X for one resistance vector and serves both
 the forward solve X x = b and the adjoint solve X^T z = v, never through
-an explicit inverse: up to DENSE_MAX_NODES nodes X is LU-factored once
-as a dense matrix, above that each solve is a restarted GMRES run
-(Saad, Iterative Methods for Sparse Linear Systems, 2003), which works
-on X itself rather than on the normal equations. That X is never built:
+an explicit inverse: up to DENSE_MAX_NODES nodes X is built from the
+network's dense W and LU-factored once by LAPACK's getrf, and each solve
+is one getrs call on that factor; above that each solve is a restarted
+GMRES run (Saad, Iterative Methods for Sparse Linear Systems, 2003),
+which works on X itself rather than on the normal equations. That X is never built:
 GMRES applies it matrix-free through W, as X v = v - (1 - alpha) * (W v)
 and X^T v = v - W^T ((1 - alpha) * v). An ascent hands each step's
 solution to the next step, whose GMRES runs then start from the last
@@ -26,37 +27,32 @@ its start. Such systems are rejected before any solve.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 DEFAULT_TOL = 1e-10
 
 # Largest node count solved by dense LU; larger systems use GMRES. A dense
 # LU costs O(n^3) whatever the topology, while a GMRES forward-plus-adjoint
 # pair on these well-conditioned systems (11-15 iterations per cold solve)
-# stays near 3-5 ms at these sizes, mostly per-iteration overhead. Dense
-# build + factor + forward and adjoint solve with both residuals, against
-# that matrix-free GMRES pair from cold starts, in ms as dense / GMRES,
-# median of 60, on ba and gnp graphs (2 vCPUs shared with other jobs,
-# OpenBLAS with 2 threads); ranges over three idle runs:
+# stays near 2-5 ms at these sizes, mostly per-iteration overhead. X built
+# from the network's cached dense W + getrf + getrs forward and adjoint
+# with both residuals, against that matrix-free GMRES pair from cold
+# starts, in ms as dense / GMRES, median of 60, on ba and gnp graphs
+# (2 vCPUs shared with other jobs, load average near 1, OpenBLAS with
+# 2 threads); ranges over four runs:
 #   n     ba                  gnp
-#   100   0.16-0.27 / 4.0-4.4 0.24-0.27 / 4.2-5.5
-#   150   0.42-0.62 / 3.4-4.6 0.48-0.61 / 3.6-5.0
-#   200   1.5-1.8 / 4.0-4.5   0.76-0.92 / 3.1-4.3
-#   250   2.9-3.2 / 3.5-4.4   1.7-2.1 / 2.7-4.2
-#   300   4.3-4.5 / 3.5-4.4   2.8-3.1 / 2.5-4.2
-#   400   8.3-9.8 / 4.1-5.0   5.6-6.5 / 3.5-4.1
-# and over two runs with the second CPU busy:
-#   100   0.22-0.28 / 3.3-4.4 0.22-0.27 / 4.1-5.9
-#   150   0.37-0.61 / 3.3-4.5 0.40-0.60 / 3.4-5.1
-#   200   1.9-5.8 / 4.4-4.8   0.91-1.2 / 4.4-4.6
-#   250   7.5-7.9 / 4.2-4.5   5.4-5.5 / 3.2-4.3
-#   300   8.1-9.0 / 4.5-4.6   6.8-6.9 / 3.7-4.3
-#   400   8.4-17 / 2.8-5.0    9.0-10 / 3.9-4.4
-# The crossover sits near 300 nodes on ba and 300-400 on gnp idle, and
-# near 200-250 busy. At 200 the dense path wins by 2x or more idle and in
-# three of the four busy readings; one busy ba run read 5.8 ms dense.
+#   100   0.12-0.19 / 2.4-4.3 0.11-0.19 / 2.6-4.7
+#   150   0.30-0.47 / 2.4-3.7 0.31-0.49 / 2.7-4.3
+#   200   0.53-0.82 / 2.3-4.1 0.53-0.80 / 2.3-4.0
+#   250   1.2-1.7 / 2.3-3.8   1.2-1.9 / 2.2-3.8
+#   300   1.9-2.9 / 2.4-4.8   1.9-2.0 / 2.2-2.3
+#   400   4.2-4.6 / 2.4-4.1   4.1-4.4 / 2.0-3.2
+# The crossover sits near 300 nodes. An earlier measurement with the
+# second CPU busy saw OpenBLAS's threaded LU slow from about 250 nodes
+# (5-8 ms at 250), so the cutoff stays at 200, where the dense path wins
+# by 3.5x or more in each run above.
 DENSE_MAX_NODES = 200
 
 # Krylov vectors GMRES keeps before it restarts.
@@ -88,8 +84,10 @@ class EquilibriumOperator:
     """X = I - (I - A) W for one (instance, alpha).
 
     Raises SolverError naming the offending nodes when X is singular.
-    Dense systems are LU-factored here; `solve` and `solve_T` then reuse
-    the factor. Sparse systems are solved by GMRES(GMRES_RESTART) on the
+    Dense systems are LU-factored here by LAPACK's getrf, which raises
+    SolverError if it meets an exactly zero pivot; `solve` and `solve_T`
+    then call getrs on the factor, without or with transposition.
+    Sparse systems are solved by GMRES(GMRES_RESTART) on the
     matrix-free X to the relative residual DEFAULT_TOL, with at most
     about 10 * n iterations. `start`, the EquilibriumSolution of a nearby
     alpha, seeds those runs: `solve` starts from its x* and `solve_T`
@@ -104,12 +102,26 @@ class EquilibriumOperator:
         self.b = alpha * instance.s
         self.adjoint = None  # z of the latest solve_T
         n = instance.node_count
-        W = instance.network.influence_matrix
         if n <= DENSE_MAX_NODES:
-            self.X = np.eye(n) - (1.0 - alpha)[:, None] * W.toarray()
-            self._lu = lu_factor(self.X, check_finite=False)
+            # imported here: processes that never solve a dense system
+            # never load scipy.linalg, about 8 MB of resident memory
+            from scipy.linalg.lapack import dgetrf, dgetrs
+
+            # 0 - (1 - alpha) W, then 1 added on the diagonal: the bits of
+            # eye(n) - (1 - alpha) W, +0.0 off the support of W included
+            X = (1.0 - alpha)[:, None] * instance.network.dense_influence_matrix
+            np.subtract(0.0, X, out=X)
+            X.reshape(-1)[::n + 1] += 1.0
+            lu, piv, info = dgetrf(X)
+            if info != 0:
+                raise SolverError(f"dense LU factorization failed: getrf "
+                                  f"returned info {info}")
+            # getrs reports only illegal arguments, and f2py rejects a
+            # right-hand side of the wrong shape before LAPACK runs
+            self.X, self._lu_solve = X, partial(dgetrs, lu, piv)
             return
-        self._lu = None
+        self._lu_solve = None
+        W = instance.network.influence_matrix
         self._W, self._WT, self._fade = W, W.T, 1.0 - alpha
         self._x0 = self._z0 = None
         if start is not None:
@@ -128,7 +140,7 @@ class EquilibriumOperator:
 
     def _apply(self, v, transpose):
         """X v, or X^T v when transpose."""
-        if self._lu is not None:
+        if self._lu_solve is not None:
             return (self.X.T if transpose else self.X) @ v
         if transpose:
             return v - self._WT @ (self._fade * v)
@@ -137,10 +149,9 @@ class EquilibriumOperator:
     def _solve(self, rhs, transpose):
         """(solution, residual, GMRES iterations, converged)."""
         rhs = np.asarray(rhs, dtype=float)
-        if self._lu is not None:
+        if self._lu_solve is not None:
             kind = "dense"
-            x = lu_solve(self._lu, rhs, trans=int(transpose),
-                         check_finite=False)
+            x, _ = self._lu_solve(rhs, trans=int(transpose))
             itn, converged = 0, True
         else:
             # imported here: processes that only solve small systems never

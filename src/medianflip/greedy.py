@@ -213,16 +213,20 @@ def jaccard(u1, u2):
 
 def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
                        continuous=False, resolution=0.25, base=None):
-    """Smallest budget at which runner(instance, budget) reports flipped.
+    """A budget at which runner(instance, budget) reports flipped: the
+    smallest one for discrete methods, a bisected one for continuous.
 
     Discrete budgets are scanned linearly upward because heuristic
-    success is not monotone in k; continuous budgets are halved down to
-    the given resolution, which is sound for the monotone-by-projection
-    continuous methods. Returns 0 when no intervention is needed and
-    None when max_budget never flips. `base` is the unmodified
-    instance's equilibrium opinions, solved here when None. A max_budget
-    that is negative or not finite, or a continuous resolution that is
-    not positive, is an error.
+    success is not monotone in k. Continuous budgets are bisected down to
+    the given resolution, but whether a continuous method flips is not
+    monotone in its budget either (sigmoid on one 10x10 grid flips at l1
+    12.75 but not at 13.0, and bisection over [0, 50] returns 13.48). So
+    a continuous search returns a flipping budget within `resolution` of
+    one that failed, not necessarily the smallest flipping budget.
+    Returns 0 when no intervention is needed and None when max_budget
+    never flips. `base` is the unmodified instance's equilibrium
+    opinions, solved here when None. A max_budget that is negative or not
+    finite, or a continuous resolution that is not positive, is an error.
     """
     if max_budget is not None and not 0 <= max_budget < np.inf:
         raise ValueError(

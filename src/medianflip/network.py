@@ -6,7 +6,6 @@ of outgoing edge weights. Zero-degree nodes get an all-zero row.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NetworkError(ValueError):
@@ -34,18 +33,39 @@ class Network:
         self.indptr = np.searchsorted(arc_src, np.arange(self.node_count + 1))
         self.deg = np.zeros(self.node_count)
         np.add.at(self.deg, arc_src, arc_w)
-        self._W = None
+        self._W = self._W_dense = None
 
     @property
     def influence_matrix(self):
         """Row-normalized sparse W (CSR); zero rows for degree-0 nodes."""
         if self._W is None:
+            # imported here: processes that never build a sparse W, such
+            # as tree-DP runs, never load scipy
+            import scipy.sparse as sp
+
             n = self.node_count
             self._W = sp.csr_matrix(
                 (self.arc_w / self.deg[self.arc_src], self.arc_dst, self.indptr),
                 shape=(n, n),
             )
         return self._W
+
+    @property
+    def dense_influence_matrix(self):
+        """W as a read-only dense array, entry for entry the sparse one's.
+
+        Built on first use and kept, like the CSR W, so every resistance
+        vector on this network (the `with_alpha` copies of an instance)
+        shares it. Only the dense equilibrium solver reads it, so it is
+        never built for a network above that solver's size limit.
+        """
+        if self._W_dense is None:
+            n = self.node_count
+            W = np.zeros((n, n))
+            W[self.arc_src, self.arc_dst] = self.arc_w / self.deg[self.arc_src]
+            W.setflags(write=False)
+            self._W_dense = W
+        return self._W_dense
 
     # the benchmark's tracer wraps this property by name
     @property

@@ -526,6 +526,21 @@ class TestBench:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("theta", ["x", None, True])
+    def test_theta_that_is_not_a_real_number_exits_invalid(
+            self, tmp_path, capsys, theta):
+        path = tmp_path / "grid.json"
+        save_instance(generate(GeneratorSpec(
+            "grid", dist="normal", seed=0, params={"rows": 3, "cols": 3})),
+            path)
+        cfg = self.write_config(tmp_path, instance=str(path), theta=theta,
+                                methods=["greedy"], seeds=[0], budget=None)
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        assert "theta must be finite and real" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_malformed_json_exits_invalid(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("{not json")
@@ -618,14 +633,24 @@ class TestExitCodes:
             assert "optimize" in proc.stdout, proc.stderr
 
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse.linalg is imported by the first sparse solve only,
-        # so importing the package or the CLI costs no more than that
-        check = ("import sys, medianflip, medianflip.cli; "
-                 "print('scipy.sparse.linalg' in sys.modules)")
+        # scipy.sparse is imported by the first sparse W, scipy.linalg by
+        # the first dense solve and scipy.sparse.linalg by the first
+        # sparse solve, so importing the package or the CLI loads none of
+        # them, and a tree-DP solve, which reads neither W, loads none
+        check = (
+            "import sys, medianflip, medianflip.cli\n"
+            "names = ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')\n"
+            "print([m for m in names if m in sys.modules])\n"
+            "from medianflip import (GeneratorSpec, TreeInstance, generate,\n"
+            "                        tree_dp_min_stooges)\n"
+            "inst = generate(GeneratorSpec('org_chart', seed=0,\n"
+            "                              params={'n': 40}))\n"
+            "dp = tree_dp_min_stooges(TreeInstance(inst, mode='both'))\n"
+            "print(dp.cost > 0, [m for m in names if m in sys.modules])\n")
         path = os.pathsep.join(
             p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", check],
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["[]", "True []"]

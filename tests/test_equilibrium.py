@@ -180,10 +180,83 @@ def test_adjoint_solve_is_the_transpose_of_the_forward_solve(n):
 
 
 def test_dense_solve_rejects_non_finite_result(monkeypatch):
-    module = importlib.import_module("medianflip.equilibrium")
-    monkeypatch.setattr(module, "lu_solve",
-                        lambda lu, b, **kw: np.full_like(b, np.nan))
+    lapack = importlib.import_module("scipy.linalg.lapack")
+    monkeypatch.setattr(lapack, "dgetrs",
+                        lambda lu, piv, b, **kw: (np.full_like(b, np.nan), 0))
     with pytest.raises(SolverError, match="residual"):
+        equilibrium(two_node_instance())
+
+
+def _edge_list_system(inst, alpha):
+    """X = I - (1 - alpha) W, with W summed arc by arc from the edge list."""
+    net = inst.network
+    n = inst.node_count
+    W = np.zeros((n, n))
+    for u, v, w in zip(net.arc_src.tolist(), net.arc_dst.tolist(),
+                       net.arc_w.tolist()):
+        W[u, v] += w
+    deg = W.sum(axis=1)
+    W[deg > 0] /= deg[deg > 0, None]
+    return np.eye(n) - (1.0 - alpha)[:, None] * W
+
+
+@pytest.mark.parametrize("topology,params", [
+    ("grid", {"rows": 6, "cols": 6}), ("grid", {"rows": 10, "cols": 10}),
+    ("ba", {"n": 150}), ("gnp", {"n": 120}), ("ba", {"n": DENSE_MAX_NODES})])
+def test_dense_solves_match_a_reference_built_from_the_edge_list(topology,
+                                                                  params):
+    for seed in range(3):
+        inst = generate(GeneratorSpec(topology, dist="normal", seed=seed,
+                                      params=params))
+        n = inst.node_count
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.05, 1.0, n)
+        alpha[rng.choice(n, n // 5, replace=False)] = 1.0
+        X = _edge_list_system(inst, alpha)
+        sol = equilibrium(inst, alpha=alpha)
+        assert sol.iterations == 0
+        assert np.max(np.abs(sol.x_star - np.linalg.solve(X, alpha * inst.s))
+                      ) <= 1e-12
+        b, v = rng.normal(size=n), rng.normal(size=n)
+        assert np.max(np.abs(sol.operator.solve(b) - np.linalg.solve(X, b))
+                      ) <= 1e-12
+        assert np.max(np.abs(sol.operator.solve_T(v)
+                             - np.linalg.solve(X.T, v))) <= 1e-12
+
+
+def test_dense_influence_matrix_is_built_once_and_shared():
+    inst = _ba_instance(60, seed=3)
+    net = inst.network
+    assert net._W_dense is None
+    equilibrium(inst)
+    W = net._W_dense
+    assert W is not None and not W.flags.writeable
+    assert np.array_equal(W, net.influence_matrix.toarray())
+    other = inst.with_alpha(np.full(inst.node_count, 0.3))
+    equilibrium(other)
+    equilibrium(inst, alpha=other.alpha)
+    assert other.network.dense_influence_matrix is W
+    assert net._W_dense is W
+
+
+def test_no_dense_influence_matrix_above_the_dense_limit():
+    inst = _ba_instance(DENSE_MAX_NODES + 40, seed=4)
+    sol = equilibrium(inst)
+    sol.operator.solve_T(np.ones(inst.node_count))
+    assert sol.iterations > 0
+    assert inst.network._W_dense is None
+
+
+def test_zero_pivot_in_dense_factorization_raises(monkeypatch):
+    lapack = importlib.import_module("scipy.linalg.lapack")
+    real = lapack.dgetrf
+
+    def zero_pivot(a, **kw):
+        lu, piv, _ = real(a, **kw)
+        return lu, piv, 2
+
+    monkeypatch.setattr(lapack, "dgetrf", zero_pivot)
+    with pytest.raises(SolverError, match="info 2"):
         equilibrium(two_node_instance())
 
 
