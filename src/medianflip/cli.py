@@ -136,14 +136,15 @@ def _cmd_optimize(args):
     runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
                            params=_method_params(args))
     result = runner(instance, args.budget)
-    print(f"method {args.method}")
-    print(f"budget {args.budget:g}")
-    print(f"flipped {'true' if result.flipped else 'false'}")
-    print(f"final_median {result.final_median:.6f}")
-    print(f"l0_used {result.l0_budget_used}")
-    print(f"l1_used {result.l1_budget_used:.6f}")
-    for u, r in result.stooges.items():
-        print(f"stooge {u} {r}")
+    # one write: a 10 000-node ascent can move thousands of stooges
+    print("\n".join([
+        f"method {args.method}",
+        f"budget {args.budget:g}",
+        f"flipped {'true' if result.flipped else 'false'}",
+        f"final_median {result.final_median:.6f}",
+        f"l0_used {result.l0_budget_used}",
+        f"l1_used {result.l1_budget_used:.6f}",
+        *(f"stooge {u} {r}" for u, r in result.stooges.items())]))
     if args.trace:
         _write_trace(args.trace, result.objective_trace)
     if args.out:

@@ -12,13 +12,16 @@ the forward solve X x = b and the adjoint solve X^T z = v, never through
 an explicit inverse: up to DENSE_MAX_NODES nodes X is built from the
 network's dense W and LU-factored once by LAPACK's getrf, and each solve
 is one getrs call on that factor; above that each solve is a restarted
-GMRES run (Saad, Iterative Methods for Sparse Linear Systems, 2003),
-which works on X itself rather than on the normal equations. That X is never built:
-GMRES applies it matrix-free through W, as X v = v - (1 - alpha) * (W v)
-and X^T v = v - W^T ((1 - alpha) * v). An ascent hands each step's
-solution to the next step, whose GMRES runs then start from the last
-x* and the last adjoint z instead of from zero. Nodes with deg(u) = 0
-have an all-zero W row and therefore x_u = alpha_u * s_u.
+GMRES run (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), written
+here in numpy, which works on X itself rather than on the normal
+equations. That X is never built: GMRES applies it matrix-free through
+W, as X v = v - (1 - alpha) * (W v) and X^T v = v - W^T ((1 - alpha) * v).
+An ascent hands each step's solution to the next step, whose adjoint
+GMRES run then starts from the last adjoint z, and whose forward run
+starts from the extrapolation 2 x*_k-1 - x*_k-2 through the last two
+solutions (from the last x* when only one exists) instead of from zero.
+Nodes with deg(u) = 0 have an all-zero W row and therefore
+x_u = alpha_u * s_u.
 
 X is singular exactly when some closed class of W's graph (a sink
 strongly connected component whose nodes have out-arcs) has alpha = 0
@@ -26,6 +29,7 @@ on every node: that class then only averages itself and never forgets
 its start. Such systems are rejected before any solve.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,23 +40,22 @@ DEFAULT_TOL = 1e-10
 # Largest node count solved by dense LU; larger systems use GMRES. A dense
 # LU costs O(n^3) whatever the topology, while a GMRES forward-plus-adjoint
 # pair on these well-conditioned systems (11-15 iterations per cold solve)
-# stays near 2-5 ms at these sizes, mostly per-iteration overhead. X built
+# costs O(n) per iteration plus a fixed per-iteration overhead. X built
 # from the network's cached dense W + getrf + getrs forward and adjoint
 # with both residuals, against that matrix-free GMRES pair from cold
 # starts, in ms as dense / GMRES, median of 60, on ba and gnp graphs
 # (2 vCPUs shared with other jobs, load average near 1, OpenBLAS with
 # 2 threads); ranges over four runs:
-#   n     ba                  gnp
-#   100   0.12-0.19 / 2.4-4.3 0.11-0.19 / 2.6-4.7
-#   150   0.30-0.47 / 2.4-3.7 0.31-0.49 / 2.7-4.3
-#   200   0.53-0.82 / 2.3-4.1 0.53-0.80 / 2.3-4.0
-#   250   1.2-1.7 / 2.3-3.8   1.2-1.9 / 2.2-3.8
-#   300   1.9-2.9 / 2.4-4.8   1.9-2.0 / 2.2-2.3
-#   400   4.2-4.6 / 2.4-4.1   4.1-4.4 / 2.0-3.2
-# The crossover sits near 300 nodes. An earlier measurement with the
-# second CPU busy saw OpenBLAS's threaded LU slow from about 250 nodes
-# (5-8 ms at 250), so the cutoff stays at 200, where the dense path wins
-# by 3.5x or more in each run above.
+#   n     ba                    gnp
+#   100   0.12-0.26 / 0.60-1.06 0.12-0.25 / 0.64-1.14
+#   150   0.31-0.55 / 0.75-1.29 0.31-0.53 / 0.77-1.36
+#   200   0.55-0.89 / 0.76-1.39 0.51-0.88 / 0.82-1.37
+#   250   1.15-1.80 / 0.84-1.43 0.86-1.77 / 0.78-1.40
+#   300   1.73-2.70 / 0.86-1.51 1.73-2.61 / 0.84-1.51
+#   400   3.47-3.60 / 1.04-1.11 3.48-3.89 / 1.06-1.23
+# The crossover sits between 200 and 250 nodes. The cutoff stays at 200,
+# where the dense path still wins by 1.4x to 1.6x in each run above;
+# moving it would also move tests between the two solvers.
 DENSE_MAX_NODES = 200
 
 # Krylov vectors GMRES keeps before it restarts.
@@ -90,10 +93,11 @@ class EquilibriumOperator:
     Sparse systems are solved by GMRES(GMRES_RESTART) on the
     matrix-free X to the relative residual DEFAULT_TOL, with at most
     about 10 * n iterations. `start`, the EquilibriumSolution of a nearby
-    alpha, seeds those runs: `solve` starts from its x* and `solve_T`
-    from the latest adjoint solution of its operator. The dense path
-    ignores it. Either solve raises SolverError when its residual is not
-    finite or exceeds 1e-6 * max(1, ||rhs||).
+    alpha, seeds those runs: `solve_T` starts from the latest adjoint
+    solution of its operator, and `solve` from its x*, or from
+    2 x* - x*_start when that operator was itself built from a start
+    x*_start. The dense path ignores it. Either solve raises SolverError
+    when its residual is not finite or exceeds 1e-6 * max(1, ||rhs||).
     """
 
     def __init__(self, instance, alpha=None, start=None):
@@ -101,6 +105,9 @@ class EquilibriumOperator:
         _reject_singular(instance.network, alpha)
         self.b = alpha * instance.s
         self.adjoint = None  # z of the latest solve_T
+        # the x* of the start, through which the next operator's forward
+        # start extrapolates
+        self._x_prev = None if start is None else start.x_star
         n = instance.node_count
         if n <= DENSE_MAX_NODES:
             # imported here: processes that never solve a dense system
@@ -123,11 +130,11 @@ class EquilibriumOperator:
         self._lu_solve = None
         W = instance.network.influence_matrix
         self._W, self._WT, self._fade = W, W.T, 1.0 - alpha
-        self._x0 = self._z0 = None
-        if start is not None:
-            self._x0 = start.x_star
-            if start.operator is not None:
-                self._z0 = start.operator.adjoint
+        self._x0, self._z0 = self._x_prev, None
+        if start is not None and start.operator is not None:
+            self._z0 = start.operator.adjoint
+            if start.operator._x_prev is not None:
+                self._x0 = 2.0 * start.x_star - start.operator._x_prev
 
     def solve(self, b):
         """x with X x = b."""
@@ -143,8 +150,11 @@ class EquilibriumOperator:
         if self._lu_solve is not None:
             return (self.X.T if transpose else self.X) @ v
         if transpose:
-            return v - self._WT @ (self._fade * v)
-        return v - self._fade * (self._W @ v)
+            y = self._WT @ (self._fade * v)
+        else:
+            y = self._W @ v
+            y *= self._fade
+        return np.subtract(v, y, out=y)
 
     def _solve(self, rhs, transpose):
         """(solution, residual, GMRES iterations, converged)."""
@@ -153,29 +163,77 @@ class EquilibriumOperator:
             kind = "dense"
             x, _ = self._lu_solve(rhs, trans=int(transpose))
             itn, converged = 0, True
+            residual = float(np.linalg.norm(self._apply(x, transpose) - rhs))
         else:
-            # imported here: processes that only solve small systems never
-            # load scipy.sparse.linalg, about 2 MB of resident memory
-            from scipy.sparse.linalg import LinearOperator, gmres
-
-            n = len(rhs)
-            M = LinearOperator((n, n), dtype=float,
-                               matvec=lambda v: self._apply(v, transpose))
-            steps = []
-            # maxiter counts restart cycles: about 10 n iterations in all
-            x, info = gmres(M, rhs, x0=self._z0 if transpose else self._x0,
-                            rtol=DEFAULT_TOL, atol=0.0,
-                            restart=GMRES_RESTART,
-                            maxiter=10 * n // GMRES_RESTART + 1,
-                            callback=steps.append, callback_type="pr_norm")
-            itn, converged = len(steps), info == 0
+            x, residual, itn, converged = _gmres(
+                partial(self._apply, transpose=transpose), rhs,
+                self._z0 if transpose else self._x0)
             kind = f"GMRES ({itn} iterations)"
-        residual = float(np.linalg.norm(self._apply(x, transpose) - rhs))
         if not residual <= 1e-6 * max(1.0, float(np.linalg.norm(rhs))):
             # also catches a non-finite residual
             raise SolverError(
                 f"{kind} equilibrium solve left residual {residual:.3e}")
         return x, residual, itn, converged
+
+
+def _gmres(apply, b, x0):
+    """Restarted GMRES for apply(x) = b from x0 (None for zero):
+    (x, ||b - apply(x)||, Arnoldi steps, converged).
+
+    Each cycle builds an orthonormal Krylov basis from the residual by
+    Gram-Schmidt with one reorthogonalisation, and keeps the least-squares
+    problem triangular by Givens rotations, whose last entry is the
+    residual norm the cycle expects. A cycle ends after GMRES_RESTART
+    steps or once that estimate meets DEFAULT_TOL * ||b||; then x is
+    updated and its true residual computed, which decides whether
+    another cycle runs. At most about 10 n steps run in all.
+    """
+    n = len(b)
+    target = DEFAULT_TOL * math.sqrt(b @ b)
+    if target == 0.0:
+        return np.zeros(n), 0.0, 0, True
+    if x0 is None:
+        x, r = np.zeros(n), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - apply(x)
+    rnorm = math.sqrt(r @ r)
+    m = GMRES_RESTART
+    V = np.empty((m + 1, n))
+    R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+    itn, max_itn = 0, (10 * n // m + 1) * m
+    while rnorm > target and itn < max_itn:
+        np.multiply(r, 1.0 / rnorm, out=V[0])
+        g, cs, sn = [rnorm], [], []
+        for j in range(min(m, max_itn - itn)):
+            w = apply(V[j])
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            again = basis @ w
+            w -= again @ basis
+            col = (h + again).tolist()
+            hn = math.sqrt(w @ w)
+            itn += 1
+            for i in range(j):
+                a, c = col[i], col[i + 1]
+                col[i], col[i + 1] = (cs[i] * a + sn[i] * c,
+                                      cs[i] * c - sn[i] * a)
+            d = math.hypot(col[j], hn)
+            cs.append(col[j] / d)
+            sn.append(hn / d)
+            col[j] = d
+            R[:j + 1, j] = col
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= target:
+                break
+            np.multiply(w, 1.0 / hn, out=V[j + 1])
+        k = len(cs)
+        x += np.linalg.solve(R[:k, :k], g[:k]) @ V[:k]
+        r = b - apply(x)
+        rnorm = math.sqrt(r @ r)
+    return x, rnorm, itn, rnorm <= target
 
 
 def _reject_singular(network, alpha):

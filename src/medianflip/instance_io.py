@@ -30,9 +30,10 @@ def save_instance(instance, path):
         "s": instance.s.tolist(),
     }
     # json.dumps runs the C encoder; json.dump streams through the
-    # pure-Python one
+    # pure-Python one. The document holds no container twice, so the
+    # encoder's cycle check, one dict entry per edge row, is skipped.
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps(doc, check_circular=False) + "\n")
 
 
 def read_json_object(path):
@@ -60,7 +61,16 @@ def load_instance(path):
         raise InstanceIOError(f"{path}: 'directed' is not a boolean")
     if type(n) not in (int, float) or n % 1:  # bool, NaN and 3.9 fail
         raise InstanceIOError(f"{path}: 'n' is not an integer: {n!r}")
-    network = build_network(int(n), doc["edges"], directed=directed,
+    n = int(n)
+    # checked before the network of n nodes is allocated
+    for name in ("alpha", "s"):
+        values = doc[name]
+        if not isinstance(values, list) or len(values) != n:
+            got = (f"{len(values)} entries" if isinstance(values, list)
+                   else "no list")
+            raise InstanceIOError(
+                f"{path}: '{name}' must list n = {n} entries, got {got}")
+    network = build_network(n, doc["edges"], directed=directed,
                             allow_self_loops=True)
     return Instance(network, np.asarray(doc["alpha"], dtype=float),
                     np.asarray(doc["s"], dtype=float))

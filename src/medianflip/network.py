@@ -5,7 +5,12 @@ row u equal to w_uv / deg(u) over out-neighbors v, where deg(u) is the sum
 of outgoing edge weights. Zero-degree nodes get an all-zero row.
 """
 
+from itertools import chain
+
 import numpy as np
+
+# the most nodes whose arc keys lo * n + hi fit in int64
+MAX_NODES = 3_037_000_499
 
 
 class NetworkError(ValueError):
@@ -110,25 +115,19 @@ def build_network(n, edges, directed=False, allow_self_loops=False):
     """
     if n < 1:
         raise NetworkError(f"node_count must be >= 1, got {n}")
-    try:
-        rows = np.array(edges, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise NetworkError(f"edges must be (u, v, w) rows: {exc}") from exc
-    if rows.shape == (0,):
-        rows = np.empty((0, 3))
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise NetworkError(
-            f"edges must be (u, v, w) rows, got an array of shape {rows.shape}")
+    if n > MAX_NODES:
+        raise NetworkError(f"node_count must be <= {MAX_NODES}, got {n}")
+    rows = _edge_rows(edges)
     ids, w = rows[:, :2], rows[:, 2]
     for bad, problem in (
-            ((ids != np.floor(ids)).any(axis=1), "a non-integral node id"),
-            (((ids < 0) | (ids >= n)).any(axis=1),
-             f"a node id outside 0..{n - 1}"),
+            (ids != np.floor(ids), "a non-integral node id"),
+            ((ids < 0) | (ids >= n), f"a node id outside 0..{n - 1}"),
             (~np.isfinite(w), "a non-finite weight"),
             (w <= 0, "a nonpositive weight")):
         if bad.any():
+            # the first row index, in row order, of a bad entry
             raise NetworkError(
-                f"edge {rows[np.argmax(bad)].tolist()} has {problem}")
+                f"edge {rows[np.nonzero(bad)[0][0]].tolist()} has {problem}")
     src, dst = ids.astype(int).T
     if not allow_self_loops and (src == dst).any():
         raise NetworkError(
@@ -136,17 +135,21 @@ def build_network(n, edges, directed=False, allow_self_loops=False):
 
     # an edge's key is its arc, or for undirected input its (min, max)
     # pair; sorting by (key, source) puts a repeated orientation next to
-    # itself and a mirrored listing next to its mirror
+    # itself and a mirrored listing next to its mirror. Two stable sorts,
+    # by source and then by the key lo * n + hi, give that order.
     lo, hi = (src, dst) if directed else (np.minimum(src, dst),
                                           np.maximum(src, dst))
-    order = np.lexsort((src, hi, lo))
-    lo, hi, src, dst, w = lo[order], hi[order], src[order], dst[order], w[order]
-    same = (np.diff(lo) == 0) & (np.diff(hi) == 0)
-    repeated = same & (np.diff(src) == 0)
+    key = lo * n + hi
+    order = np.argsort(src, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
+    key, lo, hi = key[order], lo[order], hi[order]
+    src, dst, w = src[order], dst[order], w[order]
+    same = key[1:] == key[:-1]
+    repeated = same & (src[1:] == src[:-1])
     if repeated.any():
         i = np.argmax(repeated)
         raise NetworkError(f"duplicate arc ({src[i]}, {dst[i]})")
-    conflict = same & (np.diff(w) != 0)
+    conflict = same & (w[1:] != w[:-1])
     if conflict.any():
         i = np.argmax(conflict)
         raise NetworkError(f"edge ({lo[i]}, {hi[i]}) listed twice with "
@@ -156,13 +159,43 @@ def build_network(n, edges, directed=False, allow_self_loops=False):
     lo, hi, w = lo[keep], hi[keep], w[keep]
     edge_count = len(lo)
     if not directed:
+        # every (source, target) pair is now distinct, so one sort by
+        # the arc's key orders the arcs
         mirror = lo != hi
         lo, hi, w = (np.concatenate((lo, hi[mirror])),
                      np.concatenate((hi, lo[mirror])),
                      np.concatenate((w, w[mirror])))
-        order = np.lexsort((hi, lo))
+        order = np.argsort(lo * n + hi)
         lo, hi, w = lo[order], hi[order], w[order]
     return Network(n, directed, lo, hi, w, edge_count)
+
+
+def _edge_rows(edges):
+    """edges as an (m, 3) float array, or NetworkError.
+
+    A list or tuple of list or tuple rows of three numbers each, as a
+    JSON document or a generator gives them, is read in one pass over
+    the chained rows; any other input, and any such input that fails,
+    is read by np.array, whose message the error quotes.
+    """
+    if isinstance(edges, (list, tuple)):
+        try:
+            if (set(map(type, edges)) <= {list, tuple}
+                    and set(map(len, edges)) <= {3}):
+                return np.fromiter(chain.from_iterable(edges), float,
+                                   count=3 * len(edges)).reshape(-1, 3)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    try:
+        rows = np.array(edges, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetworkError(f"edges must be (u, v, w) rows: {exc}") from exc
+    if rows.shape == (0,):
+        rows = np.empty((0, 3))
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise NetworkError(
+            f"edges must be (u, v, w) rows, got an array of shape {rows.shape}")
+    return rows
 
 
 class Instance:

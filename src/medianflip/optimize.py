@@ -112,10 +112,8 @@ def adam_step(state, gradient, eta):
 
 
 def _stooge_view(alpha, alpha0):
-    return {
-        int(u): float(alpha[u])
-        for u in np.nonzero(np.abs(alpha - alpha0) > STOOGE_TOL)[0]
-    }
+    moved = np.flatnonzero(np.abs(alpha - alpha0) > STOOGE_TOL)
+    return dict(zip(moved.tolist(), alpha[moved].tolist()))
 
 
 def _ascend(instance, config, gradient_fn, theta):

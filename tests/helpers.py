@@ -294,6 +294,62 @@ def dict_loop_build_network(n, edges, directed=False, allow_self_loops=False):
                    len(pairs))
 
 
+def lexsort_build_network(n, edges, directed=False, allow_self_loops=False):
+    """build_network as it was written with np.array and two np.lexsort
+    calls: the reference for its arc order and its error messages."""
+    if n < 1:
+        raise NetworkError(f"node_count must be >= 1, got {n}")
+    try:
+        rows = np.array(edges, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetworkError(f"edges must be (u, v, w) rows: {exc}") from exc
+    if rows.shape == (0,):
+        rows = np.empty((0, 3))
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise NetworkError(
+            f"edges must be (u, v, w) rows, got an array of shape {rows.shape}")
+    ids, w = rows[:, :2], rows[:, 2]
+    for bad, problem in (
+            ((ids != np.floor(ids)).any(axis=1), "a non-integral node id"),
+            (((ids < 0) | (ids >= n)).any(axis=1),
+             f"a node id outside 0..{n - 1}"),
+            (~np.isfinite(w), "a non-finite weight"),
+            (w <= 0, "a nonpositive weight")):
+        if bad.any():
+            raise NetworkError(
+                f"edge {rows[np.argmax(bad)].tolist()} has {problem}")
+    src, dst = ids.astype(int).T
+    if not allow_self_loops and (src == dst).any():
+        raise NetworkError(
+            f"self-loop at node {src[np.argmax(src == dst)]} not allowed")
+    lo, hi = (src, dst) if directed else (np.minimum(src, dst),
+                                          np.maximum(src, dst))
+    order = np.lexsort((src, hi, lo))
+    lo, hi, src, dst, w = lo[order], hi[order], src[order], dst[order], w[order]
+    same = (np.diff(lo) == 0) & (np.diff(hi) == 0)
+    repeated = same & (np.diff(src) == 0)
+    if repeated.any():
+        i = np.argmax(repeated)
+        raise NetworkError(f"duplicate arc ({src[i]}, {dst[i]})")
+    conflict = same & (np.diff(w) != 0)
+    if conflict.any():
+        i = np.argmax(conflict)
+        raise NetworkError(f"edge ({lo[i]}, {hi[i]}) listed twice with "
+                           f"weights {w[i]} and {w[i + 1]}")
+    keep = np.ones(len(lo), dtype=bool)
+    keep[1:] = ~same
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    edge_count = len(lo)
+    if not directed:
+        mirror = lo != hi
+        lo, hi, w = (np.concatenate((lo, hi[mirror])),
+                     np.concatenate((hi, lo[mirror])),
+                     np.concatenate((w, w[mirror])))
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+    return Network(n, directed, lo, hi, w, edge_count)
+
+
 def dict_knapsack_tree_dp(tree, theta=0.5):
     """Dict-of-tuples reference for tree_dp_min_stooges: the same root
     table {(votes, cost): x}, cost and assignment, merged pair by pair

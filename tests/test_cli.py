@@ -187,6 +187,23 @@ class TestSolve:
         assert code == EXIT_INVALID
         assert "alpha[2] = nan outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n", 10**15, "'alpha' must list n = 1000000000000000 entries, got 4"),
+        ("s", [0.5, 0.5, 0.5], "'s' must list n = 4 entries, got 3"),
+        ("alpha", 0.5, "'alpha' must list n = 4 entries, got no list")])
+    def test_vectors_of_another_length_than_n_exit_invalid(
+            self, tmp_path, capsys, key, value, message):
+        # no network of 10**15 nodes fits in memory, so the lengths are
+        # compared before one is built
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        code = main(["solve", "--instance", str(path)])
+        assert code == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
     def test_no_input_exits_invalid(self, capsys):
         code = main(["solve"])
         assert code == EXIT_INVALID
@@ -203,6 +220,25 @@ class TestOptimize:
         assert "method greedy" in out
         assert "budget 2\n" in out
         assert "final_median" in out
+
+    @pytest.mark.parametrize("budget", ["0", "2"])
+    def test_prints_one_line_per_field_and_stooge(self, tmp_path, capsys,
+                                                  budget):
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        code = main(["optimize", "--instance", str(path), "--method",
+                     "degree", "--budget", budget, "--seed", "0"])
+        assert code == EXIT_OK
+        res = stooge_runner("degree", theta=0.5, seed=0, params={})(
+            small_instance(), float(budget))
+        assert len(res.stooges) == int(budget)
+        lines = ["method degree", f"budget {budget}",
+                 f"flipped {'true' if res.flipped else 'false'}",
+                 f"final_median {res.final_median:.6f}",
+                 f"l0_used {res.l0_budget_used}",
+                 f"l1_used {res.l1_budget_used:.6f}"]
+        lines += [f"stooge {u} {r}" for u, r in res.stooges.items()]
+        assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in lines)
 
     def test_trace_csv_columns(self, tmp_path, capsys):
         path = tmp_path / "inst.json"

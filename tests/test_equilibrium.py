@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,9 @@ import pytest
 from medianflip import (GeneratorSpec, Instance, OptimizerConfig,
                         SigmoidConfig, SolverError, build_network,
                         equilibrium, generate, median, sigmoid_gd, simulate)
-from medianflip.equilibrium import DENSE_MAX_NODES
+from medianflip.equilibrium import DEFAULT_TOL, DENSE_MAX_NODES, GMRES_RESTART
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_node_instance():
@@ -261,11 +267,61 @@ def test_zero_pivot_in_dense_factorization_raises(monkeypatch):
 
 
 def test_iterative_solve_rejects_non_finite_result(monkeypatch):
-    linalg = importlib.import_module("scipy.sparse.linalg")
-    monkeypatch.setattr(linalg, "gmres",
-                        lambda M, b, **kw: (np.full_like(b, np.nan), 0))
+    eq = importlib.import_module("medianflip.equilibrium")
+    monkeypatch.setattr(eq, "_gmres", lambda apply, b, x0: (
+        np.full_like(b, np.nan), float("nan"), 0, True))
     with pytest.raises(SolverError, match="residual"):
         equilibrium(_ba_instance(DENSE_MAX_NODES + 40, seed=5))
+
+
+def test_restarted_solve_matches_a_dense_solve():
+    # a directed cycle with alpha = 0.05: X's eigenvalues 1 - 0.95 w lie on
+    # a circle around 1, so GMRES needs several restart cycles
+    n = DENSE_MAX_NODES + 40
+    net = build_network(n, [(u, (u + 1) % n, 1.0) for u in range(n)],
+                        directed=True)
+    s = np.random.default_rng(0).uniform(size=n)
+    inst = Instance(net, np.full(n, 0.05), s)
+    X = np.eye(n) - 0.95 * np.roll(np.eye(n), 1, axis=1)
+    sol = equilibrium(inst)
+    assert sol.converged and sol.iterations > GMRES_RESTART
+    assert np.max(np.abs(sol.x_star - np.linalg.solve(X, 0.05 * s))) <= 1e-10
+    assert sol.residual <= DEFAULT_TOL * np.linalg.norm(0.05 * s)
+    v = np.linspace(-1.0, 1.0, n)
+    z = sol.operator.solve_T(v)
+    assert np.linalg.norm(X.T @ z - v) <= DEFAULT_TOL * np.linalg.norm(v)
+    ref = np.linalg.solve(X.T, v)
+    assert np.max(np.abs(z - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_zero_right_hand_side_returns_zero_from_a_warm_start():
+    inst = _ba_instance(DENSE_MAX_NODES + 40, seed=6)
+    prev = equilibrium(inst)
+    zero = inst.with_s(np.zeros(inst.node_count))
+    sol = equilibrium(zero, start=prev)
+    assert not sol.x_star.any()
+    assert (sol.iterations, sol.residual, sol.converged) == (0, 0.0, True)
+
+
+def test_sparse_solves_load_no_scipy_solver_module():
+    # the forward and adjoint GMRES runs need only numpy and the sparse W
+    check = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from medianflip import GeneratorSpec, equilibrium, generate\n"
+        f"inst = generate(GeneratorSpec('ba', seed=0, params={{'n': "
+        f"{DENSE_MAX_NODES + 40}}}))\n"
+        "sol = equilibrium(inst)\n"
+        "sol.operator.solve_T(np.ones(inst.node_count))\n"
+        "names = ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')\n"
+        "print(sol.iterations > 0, [m for m in names if m in sys.modules])\n")
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", check],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True ['scipy.sparse']"]
 
 
 def test_iterative_solve_with_weak_resistance_matches_simulation():
@@ -313,10 +369,17 @@ def test_ascent_warm_starts_keep_the_residual_guarantee(monkeypatch):
     sigmoid_gd(inst, OptimizerConfig(budget_k=10.0, max_iters=8),
                SigmoidConfig())
     assert len(solves) == 8
-    # each step starts from the solution of the step before
+    # each step starts from the solution of the step before, and from
+    # the third step on its forward GMRES begins at the extrapolation
+    # through the two solutions before it
     assert solves[0][1] is None
     assert all(start is prev[2] for prev, (_, start, _) in
                zip(solves, solves[1:]))
+    assert solves[1][2].operator._x0 is solves[0][2].x_star
+    for (_, _, older), (_, _, old), (_, _, sol) in zip(solves, solves[1:],
+                                                       solves[2:]):
+        assert np.array_equal(sol.operator._x0,
+                              2.0 * old.x_star - older.x_star)
     W = inst.network.influence_matrix
     for alpha, _, sol in solves:
         b = alpha * inst.s
@@ -334,22 +397,25 @@ def test_neighbouring_start_takes_fewer_iterations(monkeypatch):
     rng = np.random.default_rng(9)
     near = np.clip(inst.alpha + rng.normal(scale=1e-3, size=n), 0.0, 1.0)
     v = rng.uniform(size=n)
-    linalg = importlib.import_module("scipy.sparse.linalg")
-    real_gmres = linalg.gmres
+    eq = importlib.import_module("medianflip.equilibrium")
+    real_gmres = eq._gmres
     counts = []
 
-    def counting(M, b, callback, **kw):
-        steps = []
+    def counting(apply, b, x0):
+        calls = []
 
-        def step(r):
-            steps.append(r)
-            callback(r)
+        def counted(v):
+            calls.append(v)
+            return apply(v)
 
-        out = real_gmres(M, b, callback=step, **kw)
-        counts.append(len(steps))
+        out = real_gmres(counted, b, x0)
+        # these solves end within one restart cycle: one apply per Arnoldi
+        # step, plus the true residual that ends the cycle and, from a
+        # start, the residual it begins with
+        counts.append(len(calls) - 1 - (x0 is not None))
         return out
 
-    monkeypatch.setattr(linalg, "gmres", counting)
+    monkeypatch.setattr(eq, "_gmres", counting)
     prev = equilibrium(inst)
     prev.operator.solve_T(v)
     del counts[:]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from medianflip import Instance, NetworkError, build_network
 
-from helpers import dict_loop_build_network
+from helpers import dict_loop_build_network, lexsort_build_network
 
 
 def test_single_undirected_edge_degrees():
@@ -192,3 +192,60 @@ def test_build_matches_dict_loop_reference(case, directed, loops):
             a, b = getattr(ours, name), getattr(reference, name)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+def _outcome(make, n, edges, directed, loops):
+    """The network's arcs and edge count, or the NetworkError message."""
+    try:
+        net = make(n, edges, directed=directed, allow_self_loops=loops)
+    except NetworkError as exc:
+        return str(exc)
+    return (net.arc_src.tolist(), net.arc_dst.tolist(), net.arc_w.tolist(),
+            [a.dtype for a in (net.arc_src, net.arc_dst, net.arc_w)],
+            net.edge_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.booleans(), st.booleans())
+def test_build_matches_lexsort_reference(case, directed, loops):
+    n, edges = case
+    # tuples as generators give them, lists as a JSON document does
+    for rows in (edges, [list(e) for e in edges]):
+        assert (_outcome(build_network, n, rows, directed, loops)
+                == _outcome(lexsort_build_network, n, rows, directed, loops))
+
+
+def test_build_matches_lexsort_reference_on_larger_random_lists():
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(0, 4 * n))
+        edges = [[int(u), int(v), float(w)] for u, v, w in zip(
+            rng.integers(0, n, m), rng.integers(0, n, m),
+            rng.choice([0.5, 1.0, 2.0], m))]
+        if trial % 2:
+            # mirrored and repeated listings of the same weight
+            edges = [e for e in edges if e[0] != e[1]]
+            edges += [[v, u, w] for u, v, w in edges[: m // 3]]
+            edges += edges[: trial % 3]
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+        for directed in (False, True):
+            for loops in (False, True):
+                assert (_outcome(build_network, n, edges, directed, loops)
+                        == _outcome(lexsort_build_network, n, edges,
+                                    directed, loops))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 0)], [(0, 1, 1.0), (1, 2)], ["012"], [b"\x00\x01\x02"],
+    [{0: 1, 1: 1, 2: 1}], [(0, [1], 1.0)], [(0, 1, "x")], [(0, 1, 10**400)],
+    [(0, 1, None)], np.array([[0, 1, 1.0]]), ((0, 1, 1.0), [1, 2, 2.0])])
+def test_rows_of_other_kinds_give_the_reference_outcome(edges):
+    for directed in (False, True):
+        assert (_outcome(build_network, 3, edges, directed, True)
+                == _outcome(lexsort_build_network, 3, edges, directed, True))
+
+
+def test_node_count_is_bounded_by_the_arc_key():
+    with pytest.raises(NetworkError, match="node_count must be <="):
+        build_network(3_037_000_500, [(0, 1, 1.0)])
