@@ -101,10 +101,18 @@ class ExperimentConfig:
         if self.budget is not None:
             for method in self.methods:
                 _check_budget(method, self.budget)
-        if self.max_budget is not None and not 0 <= self.max_budget < np.inf:
-            raise ValueError("max_budget must be finite and nonnegative")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        cap = self.max_budget
+        if cap is not None:
+            # booleans are numbers to Python, not budgets
+            if isinstance(cap, bool) or not 0 <= cap < np.inf:
+                raise ValueError(
+                    f"max_budget must be finite and nonnegative, got {cap!r}")
+            if cap % 1 and not CONTINUOUS_METHODS.issuperset(self.methods):
+                raise ValueError(f"max_budget of a discrete method must be "
+                                 f"a whole number, got {cap}")
+        if isinstance(self.resolution, bool) or not self.resolution > 0:
+            raise ValueError(
+                f"resolution must be positive, got {self.resolution!r}")
         # building the runners checks theta and every option's value, so
         # a bad config fails before any instance is run
         for method in dict.fromkeys((*self.methods, *self.method_params)):
@@ -163,11 +171,13 @@ def _check_options(method, params):
 
 def _check_budget(method, budget):
     """A continuous budget is a finite number >= 0, a discrete one a
-    whole number >= 0; NaN is neither."""
+    whole number >= 0; NaN and booleans are neither."""
     continuous = method in CONTINUOUS_METHODS
-    if not (0 <= budget < np.inf and (continuous or budget % 1 == 0)):
+    if isinstance(budget, bool) or not (
+            0 <= budget < np.inf and (continuous or budget % 1 == 0)):
         kind = "a finite number" if continuous else "a whole number"
-        raise ValueError(f"{method} budget must be {kind} >= 0, got {budget}")
+        raise ValueError(
+            f"{method} budget must be {kind} >= 0, got {budget!r}")
 
 
 def method_runner(method, theta=0.5, seed=None, params=None):

@@ -4,45 +4,33 @@ Differentiating X x* = A s with X = I - (I - A) W gives the Jacobian
 J = dx*/dalpha = X^{-1} Diag(s - W x*). All gradients are pulled back
 through J^T v = Diag(s - W x*) X^{-T} v, one adjoint solve per gradient
 on the operator that already gave x*, so an ascent step factors X once;
-the full Jacobian is never materialized. A gradient given the solution
-of a nearby alpha as `start` begins both sparse solves from it (see
-EquilibriumOperator).
+the full Jacobian is never materialized. Each gradient takes the
+EquilibriumSolution its caller solved and solves no equilibrium itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, equilibrium
 from .estimators import huber_m_estimate, sigmoid
 
 
 @dataclass(frozen=True)
 class HuberGradient:
-    """Gradient of the Huber M-estimate, with the solve it reused."""
+    """Gradient of the Huber M-estimate at one equilibrium."""
 
     gradient: np.ndarray
     y_hat: float
-    solution: EquilibriumSolution
     members: np.ndarray
     expansions: int
-
-    @property
-    def x_star(self):
-        return self.solution.x_star
 
 
 @dataclass(frozen=True)
 class SigmoidGradient:
-    """Gradient of the sigmoid headcount, with the solve it reused."""
+    """Gradient of the sigmoid headcount at one equilibrium."""
 
     gradient: np.ndarray
     objective: float
-    solution: EquilibriumSolution
-
-    @property
-    def x_star(self):
-        return self.solution.x_star
 
 
 def equilibrium_jacobian_action(instance, solution, v):
@@ -63,16 +51,16 @@ def equilibrium_jacobian_action(instance, solution, v):
     return (instance.s - W @ solution.x_star) * z
 
 
-def huber_gradient(instance, config, alpha=None, start=None):
-    """Gradient of y_hat(alpha) = argmin_y sum_i H_c(x*_i(alpha) - y).
+def huber_gradient(instance, config, solution):
+    """Gradient of y_hat(alpha) = argmin_y sum_i H_c(x*_i(alpha) - y) at
+    the EquilibriumSolution that `equilibrium` returned for alpha.
 
     Membership set I = {i : |x*_i - y_hat| < c}. The formula averages the
     Jacobian rows over I; an empty I (possible when every residual is at
     least c) is handled by doubling the radius until I is nonempty, with
     the number of doublings reported.
     """
-    sol = equilibrium(instance, alpha=alpha, start=start)
-    x_star = sol.x_star
+    x_star = solution.x_star
     y_hat = huber_m_estimate(x_star, config)
     radius = config.c
     expansions = 0
@@ -82,18 +70,18 @@ def huber_gradient(instance, config, alpha=None, start=None):
         expansions += 1
         members = np.abs(x_star - y_hat) < radius
     grad = equilibrium_jacobian_action(
-        instance, sol, members.astype(float)) / members.sum()
-    return HuberGradient(grad, y_hat, sol, members, expansions)
+        instance, solution, members.astype(float)) / members.sum()
+    return HuberGradient(grad, y_hat, members, expansions)
 
 
-def sigmoid_gradient(instance, config, alpha=None, start=None):
-    """Gradient of f(alpha) = sum_u sigmoid(tau * (x*_u - theta)).
+def sigmoid_gradient(instance, config, solution):
+    """Gradient of f(alpha) = sum_u sigmoid(tau * (x*_u - theta)) at the
+    EquilibriumSolution that `equilibrium` returned for alpha.
 
     The pullback weight for node u is the sigmoid derivative
     tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
     """
-    sol = equilibrium(instance, alpha=alpha, start=start)
-    sig = sigmoid(config.tau * (sol.x_star - config.theta))
+    sig = sigmoid(config.tau * (solution.x_star - config.theta))
     weights = config.tau * sig * (1.0 - sig)
-    grad = equilibrium_jacobian_action(instance, sol, weights)
-    return SigmoidGradient(grad, float(sig.sum()), sol)
+    grad = equilibrium_jacobian_action(instance, solution, weights)
+    return SigmoidGradient(grad, float(sig.sum()))

@@ -60,7 +60,8 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     exceeds theta. A candidate whose pin makes X singular (it leaves a
     closed class with alpha = 0 on every node, so no equilibrium exists)
     is skipped: its stored gain becomes -inf, it is not counted as an
-    evaluation, and it is never committed.
+    evaluation, and it is never committed. A commit solves nothing: the
+    winner keeps the opinions its evaluation solved.
     """
     validate_phi(phi)
     if not 0 <= k <= instance.node_count:
@@ -72,11 +73,10 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     chosen = {}
     evals_per_iter = []
     x = equilibrium(instance, alpha=alpha).x_star
-    current = gain(x)
-    current_median = median(x)
-    while len(chosen) < k and current_median <= theta:
+    while len(chosen) < k and median(x) <= theta:
+        current = gain(x)
         order = sorted(stored, key=lambda ur: (-stored[ur], ur[0], -ur[1]))
-        best = None  # (gain, u, r)
+        best = None  # (gain, u, r, opinions)
         evals = 0
         for u, r in order:
             if phi != 0 and best is not None and phi * best[0] >= stored[(u, r)]:
@@ -91,18 +91,14 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
             stored[(u, r)] = g
             evals += 1
             if best is None or (g, -u, r) > (best[0], -best[1], best[2]):
-                best = (g, u, r)
+                best = (g, u, r, x_try)
         evals_per_iter.append(evals)
         if best is None or best[0] <= 0:
             break
-        _, u, r = best
+        _, u, r, x = best
         alpha[u] = r
         chosen[u] = r
-        del stored[(u, 0.0)]
-        del stored[(u, 1.0)]
-        x = equilibrium(instance, alpha=alpha).x_star
-        current = gain(x)
-        current_median = median(x)
+        del stored[(u, 0.0)], stored[(u, 1.0)]
     # insertion order of chosen is the commit order
     return InterventionResult.of(instance, alpha, x, theta, chosen,
                                  iterations=len(evals_per_iter),
@@ -225,14 +221,17 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     one that failed, not necessarily the smallest flipping budget.
     Returns 0 when no intervention is needed and None when max_budget
     never flips. `base` is the unmodified instance's equilibrium
-    opinions, solved here when None. A max_budget that is negative or not
-    finite, or a continuous resolution that is not positive, is an error.
+    opinions, solved here when None. A max_budget that is negative, not
+    finite or, in a discrete scan, fractional, or a continuous resolution
+    that is not positive, is an error; so is a boolean for either.
     """
-    if max_budget is not None and not 0 <= max_budget < np.inf:
-        raise ValueError(
-            f"max_budget must be finite and nonnegative, got {max_budget}")
-    if continuous and not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if max_budget is not None and (
+            isinstance(max_budget, bool) or not 0 <= max_budget < np.inf
+            or not continuous and max_budget % 1):
+        raise ValueError(f"max_budget must be finite and nonnegative, and "
+                         f"whole for a discrete scan, got {max_budget!r}")
+    if continuous and (isinstance(resolution, bool) or not resolution > 0):
+        raise ValueError(f"resolution must be positive, got {resolution!r}")
     if base is None:
         base = equilibrium(instance).x_star
     if median(base) > theta:

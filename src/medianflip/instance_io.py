@@ -99,20 +99,27 @@ def _parse_rows(path, min_fields, max_fields):
     return rows
 
 
+def _node_id(path, lineno, value):
+    if value % 1:  # fractions, inf and NaN fail
+        raise InstanceIOError(
+            f"{path}:{lineno}: node id {value} is not an integer")
+    return int(value)
+
+
 def load_edge_list(edges_path, opinions_path, directed=False):
     """Instance from an edge-list file ("u v" or "u v w" lines) plus an
     opinions file ("id s" or "id s alpha" lines).
 
-    Node ids are remapped to 0..n-1 in sorted order. Every edge endpoint
-    must have an opinion line; ids with opinions but no edges become
-    isolated nodes.
+    Node ids are integers, remapped to 0..n-1 in sorted order. Every
+    edge endpoint must have an opinion line; ids with opinions but no
+    edges become isolated nodes.
     """
     edge_rows = _parse_rows(edges_path, 2, 3)
     opinion_rows = _parse_rows(opinions_path, 2, 3)
 
     s_by_id, alpha_by_id = {}, {}
     for lineno, values in opinion_rows:
-        node = int(values[0])
+        node = _node_id(opinions_path, lineno, values[0])
         if node in s_by_id:
             raise InstanceIOError(
                 f"{opinions_path}:{lineno}: duplicate opinion for node {node}"
@@ -131,20 +138,20 @@ def load_edge_list(edges_path, opinions_path, directed=False):
                 )
             alpha_by_id[node] = resist
 
+    rows = []
     for lineno, values in edge_rows:
-        for endpoint in (int(values[0]), int(values[1])):
+        u, v = (_node_id(edges_path, lineno, f) for f in values[:2])
+        for endpoint in (u, v):
             if endpoint not in s_by_id:
                 raise InstanceIOError(
                     f"{edges_path}:{lineno}: node {endpoint} has no opinion "
                     f"entry"
                 )
+        rows.append((u, v, values[2] if len(values) == 3 else 1.0))
 
     ids = sorted(s_by_id)
     index = {node: i for i, node in enumerate(ids)}
-    edges = [
-        (index[int(v[0])], index[int(v[1])], v[2] if len(v) == 3 else 1.0)
-        for _, v in edge_rows
-    ]
+    edges = [(index[u], index[v], w) for u, v, w in rows]
     network = build_network(len(ids), edges, directed=directed,
                             allow_self_loops=True)
     s = np.array([s_by_id[node] for node in ids])

@@ -117,52 +117,45 @@ def _stooge_view(alpha, alpha0):
 
 
 def _ascend(instance, config, gradient_fn, theta):
-    """Shared projected-ascent loop; gradient_fn(alpha, start) -> (grad,
-    surrogate, EquilibriumSolution), where start is the previous step's
-    solution (None at the first step) and only seeds the sparse solves."""
+    """Shared projected-ascent loop. Each iterate's equilibrium is solved
+    here, once, starting from the previous iterate's solution (it only
+    seeds the sparse solves); gradient_fn(solution) -> (grad, surrogate)
+    differentiates it. The final projected alpha is evaluated like every
+    other iterate, and takes no step."""
     alpha0 = instance.alpha
-    k = config.budget_k
     alpha = alpha0.copy()
     state = AdamState(instance.node_count)
     trace = []
-    best_alpha, best_x, best_median = alpha0.copy(), None, -np.inf
+    best_alpha, best_x, best_median = alpha, None, -np.inf
     converged = False
-    it = 0
     solution = None
-    while it < config.max_iters:
-        it += 1
-        grad, surrogate, solution = gradient_fn(alpha, solution)
-        x_star = solution.x_star
-        true_med = median(x_star)
-        trace.append(TraceEntry(it, surrogate, true_med,
-                                float(np.abs(alpha - alpha0).sum())))
+    while True:
+        solution = equilibrium(instance, alpha=alpha, start=solution)
+        true_med = median(solution.x_star)
         if true_med > best_median:
-            best_median = true_med
-            best_alpha, best_x = alpha.copy(), x_star
-        step = adam_step(state, grad, config.eta)
-        new_alpha = project_l1_box(alpha + step, alpha0, k)
-        drift = float(np.max(np.abs(new_alpha - alpha)))
-        alpha = new_alpha
-        if drift < CONVERGE_TOL:
-            converged = True
+            best_alpha, best_x, best_median = alpha, solution.x_star, true_med
+        if converged or len(trace) == config.max_iters:
             break
-    # the final projected alpha has not been evaluated yet
-    x_star = equilibrium(instance, alpha=alpha, start=solution).x_star
-    if median(x_star) > best_median:
-        best_alpha, best_x = alpha.copy(), x_star
+        grad, surrogate = gradient_fn(solution)
+        trace.append(TraceEntry(len(trace) + 1, surrogate, true_med,
+                                float(np.abs(alpha - alpha0).sum())))
+        step = adam_step(state, grad, config.eta)
+        new_alpha = project_l1_box(alpha + step, alpha0, config.budget_k)
+        converged = float(np.max(np.abs(new_alpha - alpha))) < CONVERGE_TOL
+        alpha = new_alpha
     return InterventionResult.of(
         instance, best_alpha, best_x, theta,
         _stooge_view(best_alpha, alpha0),
-        objective_trace=trace, converged=converged, iterations=it,
+        objective_trace=trace, converged=converged, iterations=len(trace),
     )
 
 
 def projected_huber(instance, config, huber, theta=0.5):
     """Gradient ascent on the Huber M-estimate of the equilibrium opinions."""
 
-    def grad_fn(alpha, start):
-        res = huber_gradient(instance, huber, alpha=alpha, start=start)
-        return res.gradient, res.y_hat, res.solution
+    def grad_fn(solution):
+        res = huber_gradient(instance, huber, solution)
+        return res.gradient, res.y_hat
 
     return _ascend(instance, config, grad_fn, theta)
 
@@ -171,8 +164,8 @@ def sigmoid_gd(instance, config, sig):
     """Gradient ascent on the sigmoid count of nodes above the threshold
     sig.theta, which is also the flip threshold."""
 
-    def grad_fn(alpha, start):
-        res = sigmoid_gradient(instance, sig, alpha=alpha, start=start)
-        return res.gradient, res.objective, res.solution
+    def grad_fn(solution):
+        res = sigmoid_gradient(instance, sig, solution)
+        return res.gradient, res.objective
 
     return _ascend(instance, config, grad_fn, sig.theta)

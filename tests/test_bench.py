@@ -66,7 +66,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(low_instance(), methods=("greedy",), seeds=())
 
-    @pytest.mark.parametrize("resolution", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, float("nan"), True])
     def test_resolution_must_be_positive(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
             ExperimentConfig(low_instance(), methods=("huber",),
@@ -88,7 +88,7 @@ class TestConfigValidation:
             ExperimentConfig(low_instance(), method_params={method: params})
 
     @pytest.mark.parametrize("key", ["budget", "max_budget"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
     def test_budgets_must_be_finite(self, key, value):
         with pytest.raises(ValueError, match="budget must be"):
             ExperimentConfig(low_instance(), methods=("huber", "greedy"),
@@ -99,6 +99,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="greedy budget"):
             ExperimentConfig(low_instance(), methods=("huber", "greedy"),
                              budget=2.5)
+        # a continuous cap may be any finite number, a discrete one not
+        ExperimentConfig(low_instance(), methods=("huber", "sigmoid"),
+                         max_budget=2.5)
+        with pytest.raises(ValueError, match="max_budget of a discrete"):
+            ExperimentConfig(low_instance(), methods=("huber", "greedy"),
+                             max_budget=2.5)
 
     @pytest.mark.parametrize("method_params,match", [
         ({"huber": {"c": 0}}, "c must be positive"),

@@ -147,6 +147,21 @@ class TestSolve:
         assert code == EXIT_OK
         assert "n 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edge_text,opinion_text,where", [
+        ("1.5 2\n", "1 0.1\n2 0.9\n", "g.txt:1: node id 1.5"),
+        ("0 1\n", "0 0.1\n1 0.5\n2.9 0.9\n", "s.txt:3: node id 2.9"),
+        ("inf 2\n", "1 0.1\n2 0.9\n", "g.txt:1: node id inf"),
+        ("nan 2\n", "1 0.1\n2 0.9\n", "g.txt:1: node id nan")])
+    def test_node_id_that_is_not_an_integer_exits_invalid(
+            self, tmp_path, capsys, edge_text, opinion_text, where):
+        edges = tmp_path / "g.txt"
+        ops = tmp_path / "s.txt"
+        edges.write_text(edge_text)
+        ops.write_text(opinion_text)
+        code = main(["solve", "--edges", str(edges), "--opinions", str(ops)])
+        assert code == EXIT_INVALID
+        assert f"{where} is not an integer" in capsys.readouterr().err
+
     def test_missing_file_exits_invalid(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "absent.json")])
         assert code == EXIT_INVALID
@@ -419,6 +434,13 @@ class TestIllPosedInput:
         assert code == EXIT_INVALID
         assert "max_budget" in capsys.readouterr().err
 
+    def test_fractional_max_budget_of_a_discrete_method_exits_invalid(
+            self, grid_path, capsys):
+        code = main(["flip", "--instance", grid_path, "--method", "greedy",
+                     "--max-budget", "2.5"])
+        assert code == EXIT_INVALID
+        assert "whole for a discrete scan" in capsys.readouterr().err
+
     def test_unread_option_exits_invalid(self, grid_path, capsys):
         code = main(["optimize", "--instance", grid_path, "--method", "huber",
                      "--budget", "1", "--phi", "0.5"])
@@ -669,10 +691,11 @@ class TestExitCodes:
             assert "optimize" in proc.stdout, proc.stderr
 
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse is imported by the first sparse W, scipy.linalg by
-        # the first dense solve and scipy.sparse.linalg by the first
-        # sparse solve, so importing the package or the CLI loads none of
-        # them, and a tree-DP solve, which reads neither W, loads none
+        # scipy.sparse is imported by the first sparse W and scipy.linalg
+        # by the first dense solve; no solve loads scipy.sparse.linalg,
+        # since sparse systems run the package's own GMRES. So importing
+        # the package or the CLI loads none of them, and a tree-DP solve,
+        # which reads neither W, loads none
         check = (
             "import sys, medianflip, medianflip.cli\n"
             "names = ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')\n"

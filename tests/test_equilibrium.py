@@ -356,8 +356,8 @@ def test_singular_closed_class_raises_on_the_sparse_path():
 
 def test_ascent_warm_starts_keep_the_residual_guarantee(monkeypatch):
     inst = _ba_instance(DENSE_MAX_NODES + 40, seed=8)
-    gradients = importlib.import_module("medianflip.gradients")
-    real = gradients.equilibrium
+    optimize = importlib.import_module("medianflip.optimize")
+    real = optimize.equilibrium
     solves = []
 
     def recording(instance, alpha=None, start=None):
@@ -365,13 +365,14 @@ def test_ascent_warm_starts_keep_the_residual_guarantee(monkeypatch):
         solves.append((np.array(alpha), start, sol))
         return sol
 
-    monkeypatch.setattr(gradients, "equilibrium", recording)
+    monkeypatch.setattr(optimize, "equilibrium", recording)
     sigmoid_gd(inst, OptimizerConfig(budget_k=10.0, max_iters=8),
                SigmoidConfig())
-    assert len(solves) == 8
-    # each step starts from the solution of the step before, and from
-    # the third step on its forward GMRES begins at the extrapolation
-    # through the two solutions before it
+    # eight steps and the final projected iterate, which takes no step
+    assert len(solves) == 9
+    # each iterate starts from the solution of the one before, and from
+    # the third on its forward GMRES begins at the extrapolation through
+    # the two solutions before it
     assert solves[0][1] is None
     assert all(start is prev[2] for prev, (_, start, _) in
                zip(solves, solves[1:]))

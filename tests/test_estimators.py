@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from medianflip import Instance, build_network, estimators, mean, median
-from medianflip.equilibrium import simulate
+from medianflip.equilibrium import equilibrium, simulate
 from medianflip.estimators import (
     C_GRID,
     HuberConfig,
@@ -198,7 +198,7 @@ def test_sigmoid_emits_no_overflow_warning_far_from_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = sigmoid_objective(x, cfg)
-        res = sigmoid_gradient(inst, cfg)
+        res = sigmoid_gradient(inst, cfg, equilibrium(inst))
     assert value == pytest.approx(2.5, abs=1e-12)
     assert np.all(np.isfinite(res.gradient))
     assert res.gradient[[0, 4]].tolist() == [0.0, 0.0]

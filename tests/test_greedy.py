@@ -79,12 +79,15 @@ def test_min_budget_rejects_ill_posed_searches():
     def runner(instance, k):
         raise AssertionError("the search must not run")
 
-    for max_budget in (-1, float("inf"), float("nan")):
+    for max_budget in (-1, float("inf"), float("nan"), True):
         for continuous in (False, True):
             with pytest.raises(ValueError, match="max_budget"):
                 min_budget_to_flip(inst, runner, max_budget=max_budget,
                                    continuous=continuous)
-    for resolution in (0.0, -0.5, float("nan")):
+    # a discrete scan's cap is a stooge count
+    with pytest.raises(ValueError, match="whole for a discrete scan"):
+        min_budget_to_flip(inst, runner, max_budget=2.5)
+    for resolution in (0.0, -0.5, float("nan"), True):
         with pytest.raises(ValueError, match="resolution"):
             min_budget_to_flip(inst, runner, continuous=True,
                                resolution=resolution)
@@ -112,6 +115,24 @@ def test_lazy_phi_packs_fewer_or_equal_evaluations():
     for le, ee in zip(lazy.evals_per_iter, eager.evals_per_iter):
         assert le <= ee
     assert eager.evals_per_iter[0] == 2 * 10  # sentinel forces a full first scan
+
+
+def test_lazy_greedy_commits_without_solving_again(monkeypatch):
+    # one solve for the base and one per evaluated candidate: a commit
+    # takes the winner's opinions as its evaluation solved them
+    rng = np.random.default_rng(56)
+    inst = random_connected_instance(rng, 10, alpha_range=(0.5, 0.5))
+    real = greedy.equilibrium
+    calls = []
+    monkeypatch.setattr(greedy, "equilibrium",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for phi in (0.0, 0.8):
+        del calls[:]
+        res = lazy_greedy(inst, k=4, phi=phi, theta=0.95)
+        assert len(res.stooges) == 4
+        assert len(calls) == 1 + sum(res.evals_per_iter)
+        fresh = real(inst, alpha=res.alpha_final).x_star
+        assert res.final_median == median(fresh)
 
 
 def test_greedy_median_never_decreases():
