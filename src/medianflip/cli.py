@@ -131,6 +131,13 @@ def _write_trace(path, trace):
                           entry.true_median, entry.l1_used))
 
 
+def _budget_text(budget):
+    """A whole budget as an integer, any other as its shortest repr, so
+    that the printed budget reads back as the same float."""
+    budget = float(budget)
+    return str(int(budget)) if budget.is_integer() else repr(budget)
+
+
 def _cmd_optimize(args):
     instance = _load_from_args(args)
     runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
@@ -139,12 +146,13 @@ def _cmd_optimize(args):
     # one write: a 10 000-node ascent can move thousands of stooges
     print("\n".join([
         f"method {args.method}",
-        f"budget {args.budget:g}",
+        f"budget {_budget_text(args.budget)}",
         f"flipped {'true' if result.flipped else 'false'}",
         f"final_median {result.final_median:.6f}",
         f"l0_used {result.l0_budget_used}",
         f"l1_used {result.l1_budget_used:.6f}",
-        *(f"stooge {u} {r}" for u, r in result.stooges.items())]))
+        # %s, not %r: a numpy scalar's repr names its type
+        *map("stooge %d %s".__mod__, result.stooges.items())]))
     if args.trace:
         _write_trace(args.trace, result.objective_trace)
     if args.out:
@@ -165,7 +173,7 @@ def _cmd_flip(args):
     if found is None:
         print("no flipping budget found")
         return EXIT_OK
-    print(f"budget_to_flip {float(found):g}")
+    print(f"budget_to_flip {_budget_text(found)}")
     print(f"percent_of_n "
           f"{100.0 * found / instance.network.node_count:.2f}")
     return EXIT_OK

@@ -17,23 +17,63 @@ class InstanceIOError(ValueError):
 
 
 def save_instance(instance, path):
-    """Write the canonical document; undirected edges are stored once."""
+    """Write the canonical document: the bytes json.dump gives for
+    {"n", "directed", "edges", "alpha", "s"} in that key order, then a
+    newline. "edges" lists the arcs in arc order as [u, v, w] rows,
+    each undirected edge once with u <= v; floats are Python reprs.
+
+    json's C encoder writes the document with an empty edge list, and
+    one list each for alpha and s; the edge rows are built in one byte
+    array, with no Python object per row, and spliced in.
+    """
     net = instance.network
     keep = slice(None) if net.directed else net.arc_src <= net.arc_dst
-    doc = {
-        "n": int(net.node_count),
-        "directed": bool(net.directed),
-        "edges": list(zip(net.arc_src[keep].tolist(),
-                          net.arc_dst[keep].tolist(),
-                          net.arc_w[keep].tolist())),
-        "alpha": instance.alpha.tolist(),
-        "s": instance.s.tolist(),
-    }
-    # json.dumps runs the C encoder; json.dump streams through the
-    # pure-Python one. The document holds no container twice, so the
-    # encoder's cycle check, one dict entry per edge row, is skipped.
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, check_circular=False) + "\n")
+    doc = json.dumps({"n": net.node_count, "directed": bool(net.directed),
+                      "edges": [], "alpha": instance.alpha.tolist(),
+                      "s": instance.s.tolist()}).encode()
+    cut = doc.index(b"[") + 1  # inside the empty edge list
+    with open(path, "wb") as fh:
+        fh.write(b"".join((doc[:cut], _edge_rows(
+            net.arc_src[keep], net.arc_dst[keep], net.arc_w[keep]),
+            doc[cut:], b"\n")))
+
+
+def _edge_rows(src, dst, w):
+    """The rows [u, v, w] joined by ", ", as json writes them, in a
+    uint8 array.
+
+    Each row is first written into a fixed-width record whose fields
+    are padded with NUL bytes: the ids' decimal digits, least
+    significant first, with their leading zeros as padding, and the
+    repr of each distinct weight, formatted once and gathered to its
+    rows. Dropping every NUL then leaves the text.
+    """
+    if not len(src):
+        return b""
+    # a few distinct weights are the rule, and searchsorted finds them
+    # faster than unique's inverse
+    weights = np.unique(w)
+    which = np.searchsorted(weights, w)
+    reprs = np.array([repr(x).encode() for x in weights.tolist()])
+    ids = np.array((src, dst), np.uint32).T  # MAX_NODES < 2**32
+    digits = len(str(ids.max()))
+    pad = b"\0" * digits
+    layout = b"[%s, %s, %s], " % (pad, pad, b"\0" * reprs.itemsize)
+    rows = np.empty((len(src), len(layout)), np.uint8)
+    rows[:] = np.frombuffer(layout, np.uint8)
+    for col in range(digits, 0, -1):
+        rest = ids // 10
+        char = ids + ord("0") - 10 * rest
+        if col < digits:
+            char *= ids != 0  # a leading zero
+        # the digit's column in the u field and in the v field
+        rows[:, col:col + digits + 3:digits + 2] = char
+        ids = rest
+    # mode="clip" writes straight into the strided out; which is in range
+    np.take(reprs.view(np.uint8).reshape(len(weights), -1), which, axis=0,
+            out=rows[:, 2 * digits + 5:-3], mode="clip")
+    text = rows.ravel()
+    return text[text != 0][:-2]
 
 
 def read_json_object(path):

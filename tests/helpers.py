@@ -1,11 +1,32 @@
 """Independent oracles shared by the test modules."""
 
+import gc
+from contextlib import contextmanager
+
 import numpy as np
 
 from medianflip import Instance, build_network
 from medianflip.equilibrium import equilibrium
 from medianflip.network import Network, NetworkError
 from medianflip.treedp import TreeDPResult, _combine, _node_cases
+
+
+@contextmanager
+def gc_passes():
+    """A list of the generations of the garbage-collector passes that
+    run inside the block, which starts from a full collection."""
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(record)
 
 
 def random_connected_instance(rng, n, extra_edge_prob=0.15,

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ import medianflip.cli as cli
 from medianflip.bench import flip_budget, stooge_runner
 from medianflip.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main, _parse_param
 from medianflip.equilibrium import SolverError
+from medianflip.optimize import InterventionResult
+
+from helpers import gc_passes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +52,13 @@ def hierarchy_instance():
         s=np.array([0.3, 0.6, 0.9, 0.55, 0.2]),
         network=net,
     )
+
+
+def printed_budget(budget):
+    """How flip and optimize print a budget: a whole one as an integer,
+    any other as its repr, which reads back as the same float."""
+    budget = float(budget)
+    return str(int(budget)) if budget.is_integer() else repr(budget)
 
 
 class TestParseParam:
@@ -255,6 +266,89 @@ class TestOptimize:
         lines += [f"stooge {u} {r}" for u, r in res.stooges.items()]
         assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in lines)
 
+    @pytest.mark.parametrize("method, budget", [
+        ("sigmoid", "4"), ("greedy", "3"), ("tree-dp", "40")])
+    def test_stooge_lines_match_formatted_items(self, tmp_path, capsys,
+                                                method, budget):
+        topology = "org_chart" if method == "tree-dp" else "grid"
+        inst = generate(GeneratorSpec(topology, dist="normal", seed=5,
+                                      params={"n": 40} if method == "tree-dp"
+                                      else {"rows": 6, "cols": 6}))
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        params, options = {
+            "sigmoid": ({"max_iters": 30}, ["--max-iters", "30"]),
+            "greedy": ({}, []),
+            "tree-dp": ({"mode": "both"}, ["--mode", "both"])}[method]
+        code = main(["optimize", "--instance", str(path), "--method", method,
+                     "--budget", budget, "--seed", "0", *options])
+        assert code == EXIT_OK
+        res = stooge_runner(method, theta=0.5, seed=0, params=params)(
+            inst, float(budget))
+        assert res.stooges
+        stooge_lines = [ln for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith("stooge ")]
+        assert stooge_lines == [f"stooge {u} {r}"
+                                for u, r in res.stooges.items()]
+
+    def test_stooge_lines_of_numpy_scalars_and_exponents(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        stooges = {np.int64(3): np.float64(2.5e-07), 7: 1e-05,
+                   np.int64(12): 5e-324, 100000: np.float64(0.1),
+                   2: 1.0, np.int64(0): 0}
+        self._report(tmp_path, monkeypatch, stooges)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[6:] == [f"stooge {u} {r}" for u, r in stooges.items()]
+        assert lines[6:] == ["stooge 3 2.5e-07", "stooge 7 1e-05",
+                             "stooge 12 5e-324", "stooge 100000 0.1",
+                             "stooge 2 1.0", "stooge 0 0"]
+
+    def test_stooge_report_runs_no_garbage_collection(self, tmp_path,
+                                                      capsys, monkeypatch):
+        stooges = dict(enumerate(np.linspace(0.0, 1e-3, 10000).tolist()))
+        passes = self._report(tmp_path, monkeypatch, stooges)
+        assert len(capsys.readouterr().out.splitlines()) == 6 + 10000
+        assert passes == []
+
+    @staticmethod
+    def _report(tmp_path, monkeypatch, stooges):
+        """Run optimize with a runner that answers with these stooges;
+        the garbage-collector passes from its answer to the exit."""
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        result = InterventionResult(
+            alpha_final=small_instance().alpha, stooges=stooges,
+            l0_budget_used=len(stooges), l1_budget_used=0.5,
+            final_median=0.5, flipped=False)
+        with ExitStack() as stack:
+            passes = []
+
+            def runner(instance, budget):
+                passes.append(stack.enter_context(gc_passes()))
+                return result
+
+            monkeypatch.setattr(cli, "stooge_runner",
+                                lambda *args, **kwargs: runner)
+            code = main(["optimize", "--instance", str(path), "--method",
+                         "sigmoid", "--budget", "1"])
+        assert code == EXIT_OK and len(passes) == 1
+        return passes[0]
+
+    @pytest.mark.parametrize("budget, shown", [
+        ("2", "2"), ("2.0", "2"), ("1234567", "1234567"),
+        ("49.8046875", "49.8046875"),
+        ("0.30000000000000004", "0.30000000000000004")])
+    def test_budget_echo_reads_back_as_the_same_float(self, tmp_path,
+                                                      capsys, budget, shown):
+        path = tmp_path / "inst.json"
+        save_instance(small_instance(), path)
+        code = main(["optimize", "--instance", str(path), "--method",
+                     "sigmoid", "--budget", budget, "--max-iters", "3"])
+        assert code == EXIT_OK
+        assert f"\nbudget {shown}\n" in capsys.readouterr().out
+        assert float(shown) == float(budget)
+
     def test_trace_csv_columns(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         trace = tmp_path / "trace.csv"
@@ -386,11 +480,31 @@ class TestFlip:
         code = main(["flip", "--instance", str(path), "--method", "tree-dp",
                      "--mode", "both"])
         assert code == EXIT_OK
-        assert f"budget_to_flip {float(expected):g}\n" in (
+        assert f"budget_to_flip {printed_budget(expected)}\n" in (
             capsys.readouterr().out)
         # resistance mode cannot flip this chart, so the mode was honoured
         main(["flip", "--instance", str(path), "--method", "tree-dp"])
         assert "no flipping budget" in capsys.readouterr().out
+
+    def test_fractional_budget_reads_back_as_the_same_float(self, tmp_path,
+                                                            capsys):
+        inst = generate(GeneratorSpec("grid", dist="normal", seed=3,
+                                      params={"rows": 6, "cols": 6}))
+        path = tmp_path / "grid.json"
+        save_instance(inst, path)
+        runner = stooge_runner("sigmoid", theta=0.5, seed=None,
+                               params={"max_iters": 30})
+        expected = flip_budget(inst, "sigmoid", runner, theta=0.5,
+                               max_budget=None, resolution=0.001)
+        # a bisected budget carries more than the six digits of :g
+        assert f"{expected:g}" != repr(expected)
+        code = main(["flip", "--instance", str(path), "--method", "sigmoid",
+                     "--max-iters", "30", "--resolution", "0.001"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"budget_to_flip {expected!r}\n" in out
+        printed = out.split("budget_to_flip ", 1)[1].split()[0]
+        assert float(printed) == expected
 
     def test_unflippable_reports_none(self, tmp_path, capsys):
         net = build_network(2, [(0, 1, 1.0)])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network
+from medianflip import GeneratorSpec, Instance, build_network, generate
 from medianflip.gadgets import SetCoverSpec, gen_set_cover_gadget
 from medianflip.instance_io import (
     InstanceIOError,
@@ -13,7 +13,63 @@ from medianflip.instance_io import (
     save_instance,
 )
 
-from helpers import random_connected_instance
+from helpers import gc_passes, random_connected_instance
+
+
+def assert_saved_bytes_match_streamed_json(inst, tmp_path):
+    """save_instance writes the bytes that json.dump streams for the
+    document {n, directed, edges, alpha, s}, plus a newline."""
+    net = inst.network
+    rows = [(u, v, w)
+            for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w)
+            if net.directed or u <= v]
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        json.dump({"n": int(net.node_count),
+                   "directed": bool(net.directed),
+                   "edges": [[int(u), int(v), float(w)] for u, v, w in rows],
+                   "alpha": [float(a) for a in inst.alpha],
+                   "s": [float(v) for v in inst.s]}, fh)
+        fh.write("\n")
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def _instance(n, edges, directed, seed=0):
+    rng = np.random.default_rng(seed)
+    net = build_network(n, edges, directed=directed, allow_self_loops=True)
+    return Instance(net, rng.random(n), rng.random(n))
+
+
+# node ids on both sides of each digit boundary
+_BOUNDARY_IDS = (0, 9, 10, 99, 100, 999, 1000, 99999, 100000)
+# weights whose repr has an exponent, integral floats, and others
+_ODD_WEIGHTS = (1e-05, 2.5e-07, 1e+16, 1.7976931348623157e+308, 5e-324,
+                1.0, 2.0, 100.0, 0.1, 1 / 3)
+
+LAYOUT_CASES = {
+    "one_node_undirected": lambda: _instance(1, [], False),
+    "one_node_directed": lambda: _instance(1, [], True),
+    "undirected_self_loops": lambda: _instance(
+        4, [(0, 0, 1.0), (0, 1, 0.5), (2, 2, 3.0), (3, 1, 1.0)], False),
+    "directed_self_loops": lambda: _instance(
+        4, [(0, 0, 1.0), (1, 0, 0.5), (0, 1, 2.0), (3, 3, 0.25)], True),
+    "digit_boundaries": lambda: _instance(100001, [
+        (u, v, 1.0) for i, u in enumerate(_BOUNDARY_IDS)
+        for v in _BOUNDARY_IDS[i:]], False),
+    "digit_boundaries_directed": lambda: _instance(100001, [
+        (u, v, 0.5) for u in _BOUNDARY_IDS for v in _BOUNDARY_IDS
+        if u != v], True),
+    "exponent_and_integral_weights": lambda: _instance(
+        12, [(i, (i + 1 + j) % 12, _ODD_WEIGHTS[(i + j) % 10])
+             for i in range(12) for j in range(2)], True),
+    "many_distinct_weights": lambda: _instance(
+        300, [(i, (i * 7 + 1) % 300, w) for i, w in enumerate(
+            np.random.default_rng(57).random(300) + 1e-3)], False),
+    "ba_10000": lambda: generate(GeneratorSpec("ba", seed=58,
+                                               params={"n": 10000})),
+}
 
 
 class TestCanonicalRoundTrip:
@@ -48,22 +104,20 @@ class TestCanonicalRoundTrip:
     def test_file_matches_streamed_json_document(self, tmp_path, directed):
         inst = random_connected_instance(np.random.default_rng(56), 40,
                                          directed=directed)
-        net = inst.network
-        rows = [(u, v, w)
-                for u, v, w in zip(net.arc_src, net.arc_dst, net.arc_w)
-                if directed or u <= v]
-        reference = tmp_path / "reference.json"
-        with open(reference, "w") as fh:
-            json.dump({"n": int(net.node_count),
-                       "directed": bool(net.directed),
-                       "edges": [[int(u), int(v), float(w)]
-                                 for u, v, w in rows],
-                       "alpha": [float(a) for a in inst.alpha],
-                       "s": [float(v) for v in inst.s]}, fh)
-            fh.write("\n")
-        path = tmp_path / "inst.json"
-        save_instance(inst, path)
-        assert path.read_bytes() == reference.read_bytes()
+        assert_saved_bytes_match_streamed_json(inst, tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_layout_cases_match_streamed_json_document(self, tmp_path,
+                                                       case):
+        assert_saved_bytes_match_streamed_json(LAYOUT_CASES[case](),
+                                               tmp_path)
+
+    def test_save_runs_no_garbage_collection(self, tmp_path):
+        inst = generate(GeneratorSpec("ba", seed=4, params={"n": 4100}))
+        assert inst.network.edge_count >= 20000
+        with gc_passes() as passes:
+            save_instance(inst, tmp_path / "ba.json")
+        assert passes == []
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
