@@ -16,6 +16,7 @@ import time
 import weakref
 from csv import writer as csv_writer
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -136,6 +137,7 @@ class RunRecord:
     final_median: float = None
     runtime_ms: float = None
     stooges: tuple = ()
+    stop: str = None
     error: str = None
 
 
@@ -209,7 +211,8 @@ def method_runner(method, theta=0.5, seed=None, params=None):
         validate_phi(params["phi"])
     if "mode" in params:
         validate_mode(params["mode"])
-    gain = score_total if method == "greedy-score" else None
+    gain = (partial(score_total, theta=theta) if method == "greedy-score"
+            else None)
     # keyed weakly, and no value holds its instance (a TreeInstance
     # would), so the memo keeps no instance alive
     memo = weakref.WeakKeyDictionary()
@@ -315,6 +318,7 @@ def _run_one(config, method, seed):
         record.flipped = bool(result.flipped)
         record.final_median = float(result.final_median)
         record.stooges = _stooge_set(method, result, instance, record.budget)
+        record.stop = result.stop
     except (SolverError, NetworkError, RuntimeError, ValueError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         log.warning("run failed (%s, seed %s): %s", method, seed, exc)

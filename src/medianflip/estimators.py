@@ -80,7 +80,23 @@ def huber_m_estimate(x, config):
         lo, hi = np.sort(x)[n // 2 - 1:n // 2 + 1]
         if hi - lo > 2 * c:
             return float(0.5 * (lo + hi))
-    return _clip_sum_root(x + c, np.full(n, 2 * c), n * c)
+    return float(_clip_sum_root((x + c)[None], 2 * c, (n * c,))[0])
+
+
+def _huber_estimates(x, cs):
+    """huber_m_estimate of a nonempty x at each tuning constant in cs,
+    bit for bit, with every c that needs a root solved in one batched
+    sort of the kinks."""
+    n = x.size
+    y = np.empty(len(cs))
+    wide = np.zeros(len(cs), dtype=bool)
+    if n % 2 == 0:
+        lo, hi = np.sort(x)[n // 2 - 1:n // 2 + 1]
+        wide = hi - lo > 2 * cs
+        y[wide] = 0.5 * (lo + hi)
+    c = cs[~wide, None]
+    y[~wide] = _clip_sum_root(x + c, 2 * c, n * c[:, 0])
+    return y
 
 
 # find_c's perturbation size, trial count and candidate grid of c
@@ -116,10 +132,7 @@ def find_c(instance, seed=None):
         except SolverError as exc:
             log.warning("find_c trial skipped: %s", exc)
             continue
-        target = median(x)
-        for i, c in enumerate(C_GRID):
-            y_hat = huber_m_estimate(x, HuberConfig(c))
-            errors[i] += abs(y_hat - target)
+        errors += np.abs(_huber_estimates(x, C_GRID) - median(x))
         used += 1
     if used == 0:
         raise SolverError("find_c: every perturbation trial failed")

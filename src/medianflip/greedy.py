@@ -20,18 +20,18 @@ from .stats import median
 log = logging.getLogger(__name__)
 
 
-# score_total's per-node reward above 0.5 and its near-miss scale below
+# score_total's per-node reward above theta and its near-miss scale below
 MAX_SCORE = 10000.0
 NEAR_WEIGHT = 50.0
 
 
-def score_total(x):
-    """Sum of per-node scores: MAX_SCORE above 0.5, and below it a
-    hyperbolic reward for closing the gap, capped at MAX_SCORE / 2."""
+def score_total(x, theta=0.5):
+    """Sum of per-node scores: MAX_SCORE at or above theta, and below it
+    a hyperbolic reward for closing the gap, capped at MAX_SCORE / 2."""
     x = np.asarray(x, dtype=float)
-    above = x >= 0.5
+    above = x >= theta
     out = np.full(x.shape, MAX_SCORE)
-    gap = 0.5 - x[~above]
+    gap = theta - x[~above]
     out[~above] = np.minimum(NEAR_WEIGHT / gap, MAX_SCORE / 2)
     return float(out.sum())
 
@@ -56,12 +56,13 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     order and abort once phi * (best fresh gain) >= the next stored gain;
     phi = 0 disables the abort and reproduces exhaustive greedy. Ties are
     broken toward the smaller node id, then toward r = 1. Selection stops
-    early when no candidate has positive gain or the median already
-    exceeds theta. A candidate whose pin makes X singular (it leaves a
-    closed class with alpha = 0 on every node, so no equilibrium exists)
-    is skipped: its stored gain becomes -inf, it is not counted as an
-    evaluation, and it is never committed. A commit solves nothing: the
-    winner keeps the opinions its evaluation solved.
+    once the median exceeds theta (stop "threshold"), at k stooges ("k"),
+    or when no candidate has positive gain ("stalled"). A candidate whose
+    pin makes X singular (it leaves a closed class with alpha = 0 on
+    every node, so no equilibrium exists) is skipped: its stored gain
+    becomes -inf, it is not counted as an evaluation, and it is never
+    committed. A commit solves nothing: the winner keeps the opinions its
+    evaluation solved.
     """
     validate_phi(phi)
     if not 0 <= k <= instance.node_count:
@@ -73,7 +74,13 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     chosen = {}
     evals_per_iter = []
     x = equilibrium(instance, alpha=alpha).x_star
-    while len(chosen) < k and median(x) <= theta:
+    while True:
+        if median(x) > theta:
+            stop = "threshold"
+            break
+        if len(chosen) == k:
+            stop = "k"
+            break
         current = gain(x)
         order = sorted(stored, key=lambda ur: (-stored[ur], ur[0], -ur[1]))
         best = None  # (gain, u, r, opinions)
@@ -94,6 +101,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
                 best = (g, u, r, x_try)
         evals_per_iter.append(evals)
         if best is None or best[0] <= 0:
+            stop = "stalled"
             break
         _, u, r, x = best
         alpha[u] = r
@@ -102,7 +110,7 @@ def lazy_greedy(instance, k, phi=0.8, gain=None, theta=0.5):
     # insertion order of chosen is the commit order
     return InterventionResult.of(instance, alpha, x, theta, chosen,
                                  iterations=len(evals_per_iter),
-                                 evals_per_iter=evals_per_iter)
+                                 evals_per_iter=evals_per_iter, stop=stop)
 
 
 # Brandes scores per live Network: a Network never changes, so one pass
@@ -218,7 +226,10 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     monotone in its budget either (sigmoid on one 10x10 grid flips at l1
     12.75 but not at 13.0, and bisection over [0, 50] returns 13.48). So
     a continuous search returns a flipping budget within `resolution` of
-    one that failed, not necessarily the smallest flipping budget.
+    one that failed, not necessarily the smallest flipping budget. A
+    continuous runner may stop its ascent at the first flipping iterate:
+    that leaves `flipped`, and so the budget found, as a full ascent
+    would give it, and changes only the answer reported at that budget.
     Returns 0 when no intervention is needed and None when max_budget
     never flips. `base` is the unmodified instance's equilibrium
     opinions, solved here when None. A max_budget that is negative, not

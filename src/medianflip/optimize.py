@@ -3,8 +3,12 @@
 Both optimizers share one loop: solve the equilibrium, evaluate a smooth
 surrogate of the median (Huber M-estimate or sigmoid headcount), take an
 ADAM ascent step on alpha, and project back onto the budget set
-{alpha in [0,1]^n : ||alpha - alpha0||_1 <= k}. The surrogate can move
-against the true median, so the best iterate by true median is returned.
+{alpha in [0,1]^n : ||alpha - alpha0||_1 <= k}. An ascent returns its
+first iterate whose true median exceeds theta; when none does, the
+surrogate can move against the true median, so the best iterate by true
+median is returned. Whether some iterate flips does not depend on where
+the loop stops, so stopping at the first flip leaves every flip budget
+as it was.
 """
 
 from dataclasses import dataclass, field
@@ -73,6 +77,9 @@ class InterventionResult:
     iterations: int = 0
     evals_per_iter: list = field(default_factory=list)
     s_final: np.ndarray = None  # innate opinions, when the method moved them
+    # why the method stopped: an ascent's "converged", "cap" or "flipped",
+    # lazy_greedy's "threshold", "k" or "stalled"; None for the others
+    stop: str = None
 
     @classmethod
     def of(cls, instance, alpha, x, theta, stooges, s=None, **diagnostics):
@@ -121,7 +128,16 @@ def _ascend(instance, config, gradient_fn, theta):
     here, once, starting from the previous iterate's solution (it only
     seeds the sparse solves); gradient_fn(solution) -> (grad, surrogate)
     differentiates it. The final projected alpha is evaluated like every
-    other iterate, and takes no step."""
+    other iterate, and takes no step.
+
+    The loop stops at the first iterate whose true median exceeds theta,
+    alpha0 included, and returns it (stop "flipped"). Otherwise it runs
+    until a step moves no resistance by CONVERGE_TOL ("converged") or
+    until max_iters steps ("cap"), and returns the best iterate by true
+    median. Each iterate is the same wherever the loop stops, so whether
+    an ascent flips does not depend on the exit; only which flipping
+    iterate it reports does.
+    """
     alpha0 = instance.alpha
     alpha = alpha0.copy()
     state = AdamState(instance.node_count)
@@ -134,7 +150,11 @@ def _ascend(instance, config, gradient_fn, theta):
         true_med = median(solution.x_star)
         if true_med > best_median:
             best_alpha, best_x, best_median = alpha, solution.x_star, true_med
+        if true_med > theta:
+            stop = "flipped"
+            break
         if converged or len(trace) == config.max_iters:
+            stop = "converged" if converged else "cap"
             break
         grad, surrogate = gradient_fn(solution)
         trace.append(TraceEntry(len(trace) + 1, surrogate, true_med,
@@ -147,6 +167,7 @@ def _ascend(instance, config, gradient_fn, theta):
         instance, best_alpha, best_x, theta,
         _stooge_view(best_alpha, alpha0),
         objective_trace=trace, converged=converged, iterations=len(trace),
+        stop=stop,
     )
 
 

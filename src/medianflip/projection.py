@@ -33,5 +33,5 @@ def project_l1_box(alpha_prime, alpha0, k):
     room = np.where(u > 0, 1.0 - alpha0, alpha0)
     if np.minimum(dist, room).sum() <= k:
         return np.clip(alpha_prime, 0.0, 1.0)
-    lam = _clip_sum_root(dist, room, k)
+    lam = _clip_sum_root(dist[None], room, (k,))[0]
     return alpha0 + np.sign(u) * np.clip(dist - lam, 0.0, room)

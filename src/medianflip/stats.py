@@ -43,7 +43,9 @@ def mean(x):
 
 
 def _clip_sum_root(h, w, target):
-    """Solve G(t) = sum_i clip(h_i - t, 0, w_i) = target for t, with w >= 0.
+    """Solve G(t) = sum_i clip(h_i - t, 0, w_i) = target for t, with w >= 0,
+    once per row: h is (rows, n), w broadcasts to it, and target holds one
+    level per row. Returns the rows' roots.
 
     G(t) = sum_i max(h_i - t, 0) - max(h_i - w_i - t, 0) is continuous,
     nonincreasing and linear between its kinks h_i (sign +1) and h_i - w_i
@@ -52,11 +54,16 @@ def _clip_sum_root(h, w, target):
     so one sort gives G at every kink, and interpolating between kinks is
     exact. A target outside (0, sum w) clamps to the outermost kink; on a
     flat segment at the target level any point of it may be returned.
+    Each row is sorted, summed and interpolated on its own, so its root is
+    bit for bit the one it would get alone.
     """
-    kinks = np.concatenate([h, h - w])
-    order = np.argsort(-kinks)
-    t = kinks[order]
-    sign = np.where(order < len(h), 1.0, -1.0)
-    g = np.cumsum(sign * t) - np.cumsum(sign) * t
+    rows, n = h.shape
+    kinks = np.concatenate([h, h - w], axis=1)
+    order = np.argsort(-kinks, axis=1)
+    # row r of kinks starts at r * 2n in the flat array
+    t = kinks.ravel()[order + 2 * n * np.arange(rows)[:, None]]
+    sign = np.where(order < n, 1.0, -1.0)
+    g = np.cumsum(sign * t, axis=1) - np.cumsum(sign, axis=1) * t
     # G rises as t falls; rounding must not make the interpolation table dip
-    return float(np.interp(target, np.maximum.accumulate(g), t))
+    g = np.maximum.accumulate(g, axis=1)
+    return np.fromiter(map(np.interp, target, g, t), float, rows)

@@ -2,11 +2,14 @@
 
 Every test prints one `criterion NN: PASS/FAIL (...)` line with the
 measured quantities next to their tolerances, then enforces the same
-bounds with asserts. Criteria with stated runtime budgets time
+bounds with asserts. Criterion 08 first prints one line per grid seed:
+each method's flip budget, the Huber ascents' stop reasons and
+iterations, and the c that find_c chose. Criteria with stated runtime budgets time
 themselves and fail when over budget.
 """
 
 import time
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from medianflip import (
     brute_force_min_stooges,
     build_network,
     equilibrium,
+    find_c,
     gen_set_cover_gadget,
     generate,
     huber_gradient,
@@ -280,18 +284,27 @@ def test_criterion_07_lazy_greedy_consistency():
 
 
 def test_criterion_08_grid_budget_trend():
-    budgets = {}
-    for method, continuous in (("huber", True), ("greedy", False),
-                               ("random", False)):
-        found_list = []
-        for seed in range(10):
-            inst = generate(GeneratorSpec("grid", dist="normal", seed=seed))
+    budgets = {"huber": [], "greedy": [], "random": []}
+    for seed in range(10):
+        inst = generate(GeneratorSpec("grid", dist="normal", seed=seed))
+        huber_runs = []
+        per_seed = {}
+        for method in budgets:
+            continuous = method == "huber"
             runner = method_runner(method, theta=0.5, seed=seed)
+            if continuous:
+                runner = _recording(runner, huber_runs)
             found = min_budget_to_flip(inst, runner, theta=0.5,
                                        continuous=continuous)
             if found is not None:
-                found_list.append(2.0 * found if continuous else float(found))
-        budgets[method] = found_list
+                per_seed[method] = 2.0 * found if continuous else float(found)
+                budgets[method].append(per_seed[method])
+        found_text = ", ".join(f"{m} {per_seed.get(m)}" for m in budgets)
+        stops = dict(sorted(Counter(r.stop for r in huber_runs).items()))
+        iterations = sum(r.iterations for r in huber_runs)
+        print(f"criterion 08 seed {seed}: stooges {found_text}; huber "
+              f"stops {stops}, iterations {iterations}, "
+              f"c {find_c(inst, seed=seed):.3g}")
     means = {m: float(np.mean(v)) for m, v in budgets.items() if v}
     assert set(means) == {"huber", "greedy", "random"}
     ordering_ok = means["huber"] <= means["greedy"] <= means["random"]
@@ -305,6 +318,13 @@ def test_criterion_08_grid_budget_trend():
     assert bound_ok, (
         f"huber mean budget-to-flip {means['huber']:.2f} stooge-equivalents "
         f"exceeds 30 (30% of n=100)")
+
+
+def _recording(runner, results):
+    def run(instance, budget):
+        results.append(runner(instance, budget))
+        return results[-1]
+    return run
 
 
 def test_criterion_09_hard_component_resists_all_methods():

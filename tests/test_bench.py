@@ -213,7 +213,11 @@ class TestMethodRunner:
         method_runner("sigmoid")(inst, 0.5)
         assert calls[0] == {"gain": None, "theta": 0.5, "phi": 0.3}
         # an option not given is left to the reader's own default
-        assert calls[1] == {"gain": score_total, "theta": 0.5}
+        # greedy-score's gain is score_total pivoted at the runner's theta
+        gain = calls[1].pop("gain")
+        assert (gain.func, gain.args, gain.keywords) == (
+            score_total, (), {"theta": 0.5})
+        assert calls[1] == {"theta": 0.5}
         assert calls[2] == (OptimizerConfig(0.5, eta=0.2),
                             SigmoidConfig(theta=0.4, tau=7.0))
         assert calls[3] == (OptimizerConfig(0.5), SigmoidConfig())
@@ -251,6 +255,26 @@ class TestRunExperiment:
         expected = min_budget_to_flip(inst, runner, theta=0.5)
         assert rec.budget == float(expected)
         assert rec.flipped
+
+    def test_records_say_why_each_method_stopped(self, tmp_path):
+        inst = low_instance()
+        config = ExperimentConfig(
+            inst, methods=("greedy", "sigmoid", "huber", "degree"),
+            seeds=(0,), method_params={"huber": {"c": 0.1}})
+        report = run_experiment(config)
+        stops = {r.method: r.stop for r in report.records}
+        # each search ends on a flipping answer; a baseline has no stop
+        assert stops == {"greedy": "threshold", "sigmoid": "flipped",
+                         "huber": "flipped", "degree": None}
+        path = tmp_path / "r.json"
+        emit_report(report, path, format="json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert {r["method"]: r["stop"] for r in doc["records"]} == stops
+        csv_path = tmp_path / "r.csv"
+        emit_report(report, csv_path)
+        with open(csv_path) as fh:
+            assert next(csv.reader(fh)) == list(CSV_COLUMNS)
 
     def test_continuous_budget_reported_in_stooge_equivalents(self):
         inst = low_instance()

@@ -352,7 +352,10 @@ class TestOptimize:
     def test_trace_csv_columns(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         trace = tmp_path / "trace.csv"
-        save_instance(small_instance(), path)
+        # opinions lowered so that the base median, 0.444, does not flip:
+        # an ascent that starts flipped stops before its first step
+        inst = small_instance()
+        save_instance(inst.with_s(inst.s - 0.1), path)
         code = main(["optimize", "--instance", str(path),
                      "--method", "sigmoid", "--budget", "2",
                      "--max-iters", "10", "--trace", str(trace)])

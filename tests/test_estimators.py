@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medianflip import Instance, build_network, estimators, mean, median
 from medianflip.equilibrium import equilibrium, simulate
@@ -164,6 +166,54 @@ def test_closed_form_matches_exact_root_finder():
         assert obj(ours) <= obj(exact) + 1e-9
         if np.abs(np.abs(x - exact) - c).min() > 1e-6 and (np.abs(x - exact) < c).any():
             assert ours == pytest.approx(exact, abs=1e-12)
+
+
+def one_c_estimate(x, c):
+    """The M-estimate one c at a time, with one 1-D sort of the kinks
+    x +- c per call: the routine the batched C_GRID pass replaced."""
+    n = x.size
+    if n % 2 == 0:
+        lo, hi = np.sort(x)[n // 2 - 1:n // 2 + 1]
+        if hi - lo > 2 * c:
+            return float(0.5 * (lo + hi))
+    h = x + c
+    kinks = np.concatenate([h, h - np.full(n, 2 * c)])
+    order = np.argsort(-kinks)
+    t = kinks[order]
+    sign = np.where(order < n, 1.0, -1.0)
+    g = np.cumsum(sign * t) - np.cumsum(sign) * t
+    return float(np.interp(n * c, np.maximum.accumulate(g), t))
+
+
+# opinions in [0, 1], with repeated values so that kinks tie
+opinions = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+def assert_c_grid_matches_one_c_at_a_time(x):
+    batched = estimators._huber_estimates(x, C_GRID)
+    assert batched.shape == C_GRID.shape
+    for c, y in zip(C_GRID, batched):
+        one = huber_m_estimate(x, HuberConfig(c))
+        assert y == one == one_c_estimate(x, c), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(opinions, min_size=1, max_size=41))
+def test_c_grid_estimates_match_one_c_at_a_time(values):
+    assert_c_grid_matches_one_c_at_a_time(np.array(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0, 0.4), min_size=1, max_size=20),
+       st.lists(st.floats(0.6, 1), min_size=20, max_size=20))
+def test_c_grid_estimates_take_the_wide_gap_midpoint(low, high):
+    # even n whose two middle values lie at least 0.2 apart: every c
+    # below 0.1 sits on the flat segment and returns its midpoint
+    x = np.array(low + high[:len(low)])
+    assert_c_grid_matches_one_c_at_a_time(x)
+    lo, hi = max(low), min(high[:len(low)])
+    wide = estimators._huber_estimates(x, C_GRID)[C_GRID < 0.1]
+    assert np.all(wide == 0.5 * (lo + hi))
 
 
 def test_sigmoid_objective_values():

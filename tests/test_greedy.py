@@ -159,6 +159,42 @@ def test_greedy_stalls_on_fig1_component():
     assert res.final_median < 0.5
 
 
+def test_greedy_reports_why_it_stopped():
+    rng = np.random.default_rng(55)
+    inst = random_connected_instance(rng, 9, alpha_range=(0.5, 0.5))
+    flipped = inst.with_s(rng.uniform(0.55, 0.9, 9))
+    assert lazy_greedy(flipped, k=5, theta=0.5).stop == "threshold"
+    assert lazy_greedy(fig1_component(), k=8, theta=0.5).stop == "stalled"
+    grid = generate(GeneratorSpec("grid", dist="normal", seed=1,
+                                  params={"rows": 6, "cols": 6}))
+    short = lazy_greedy(grid, k=3, theta=0.5)
+    assert short.stop == "k" and len(short.stooges) == 3
+    assert not short.flipped
+    full = lazy_greedy(grid, k=grid.node_count, theta=0.5)
+    assert full.stop == "threshold" and full.flipped
+    # greedy reads k only to stop: the short run is the full run's prefix
+    assert list(short.stooges.items()) == list(full.stooges.items())[:3]
+
+
+def test_score_total_pivots_at_theta():
+    x = np.array([0.6, 0.55, 0.5])
+    assert score_total(x, theta=0.55) == pytest.approx(20000.0 + 50.0 / 0.05)
+    assert score_total(x, theta=0.5) == score_total(x) == 30000.0
+
+
+def test_greedy_score_climbs_toward_the_runners_theta():
+    # 6x6 grid of seed 1 at theta 0.55: a score pivoted at 0.5 rewards
+    # nodes that clear 0.5 but not theta, and greedy on it never flips
+    inst = generate(GeneratorSpec("grid", dist="normal", seed=1,
+                                  params={"rows": 6, "cols": 6}))
+    n = inst.node_count
+    at_half = lazy_greedy(inst, n, gain=score_total, theta=0.55)
+    assert not at_half.flipped
+    runner = method_runner("greedy-score", theta=0.55)
+    assert min_budget_to_flip(inst, runner, theta=0.55) == 33
+    assert runner(inst, 33).flipped and runner(inst, 33).stop == "threshold"
+
+
 def test_betweenness_path_and_star():
     path = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
     bc = betweenness(path)

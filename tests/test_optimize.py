@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from medianflip import Instance, build_network
+from medianflip import GeneratorSpec, Instance, build_network, generate
+from medianflip.bench import method_runner
 from medianflip.equilibrium import equilibrium
 from medianflip.estimators import HuberConfig, SigmoidConfig
+from medianflip.greedy import min_budget_to_flip
 from medianflip.optimize import (
     AdamState,
     OptimizerConfig,
@@ -66,9 +70,11 @@ def test_max_iters_accepts_integers():
 
 
 def test_zero_budget_is_exact_no_op():
-    rng = np.random.default_rng(40)
+    # seed 45's base median, 0.363, does not flip: the ascent must run
+    rng = np.random.default_rng(45)
     inst = random_connected_instance(rng, 10)
     base_median = median(equilibrium(inst).x_star)
+    assert base_median <= 0.5
     for runner, smooth in (
         (projected_huber, HuberConfig(0.1)),
         (sigmoid_gd, SigmoidConfig()),
@@ -81,23 +87,75 @@ def test_zero_budget_is_exact_no_op():
         # the projection pins the first step to alpha0: one iteration
         assert res.converged and res.iterations == 1
         assert len(res.objective_trace) == 1
+        assert res.stop == "converged" and not res.flipped
 
 
-def test_single_node_huber_saturates_budget():
+def test_already_flipped_instance_returns_alpha0_after_no_step():
+    # seed 40's base median, 0.696, already exceeds theta
+    rng = np.random.default_rng(40)
+    inst = random_connected_instance(rng, 10)
+    for runner, smooth in (
+        (projected_huber, HuberConfig(0.1)),
+        (sigmoid_gd, SigmoidConfig()),
+    ):
+        res = runner(inst, OptimizerConfig(budget_k=2.0), smooth)
+        assert np.array_equal(res.alpha_final, inst.alpha)
+        assert res.iterations == 0 and res.objective_trace == []
+        assert res.flipped and res.stop == "flipped"
+        assert res.final_median == median(equilibrium(inst).x_star)
+
+
+def test_single_node_huber_stops_at_first_flip():
+    # x = alpha * s on a node without arcs: it flips once alpha > 5/6
     res = projected_huber(
         single_node(), OptimizerConfig(budget_k=0.5, max_iters=100), HuberConfig(0.1)
     )
-    assert res.alpha_final[0] == pytest.approx(1.0, abs=1e-6)
-    assert res.final_median == pytest.approx(0.6, abs=1e-6)
-    assert res.flipped
+    assert res.flipped and res.stop == "flipped"
+    assert 0.5 < res.final_median <= 0.6
+    assert 5 / 6 < res.alpha_final[0] <= 1.0
+    assert res.l1_budget_used <= 0.5
+    assert res.final_median == pytest.approx(0.6 * res.alpha_final[0])
 
 
 def test_single_node_sigmoid_flips():
     res = sigmoid_gd(
         single_node(), OptimizerConfig(budget_k=0.5, max_iters=100), SigmoidConfig()
     )
-    assert res.final_median == pytest.approx(0.6, abs=1e-6)
-    assert res.flipped
+    assert res.flipped and res.stop == "flipped"
+    assert 0.5 < res.final_median <= 0.6
+    assert 5 / 6 < res.alpha_final[0] <= 1.0
+    assert res.l1_budget_used <= 0.5
+
+
+@pytest.mark.parametrize("runner, smooth", [
+    (projected_huber, HuberConfig(0.05)), (sigmoid_gd, SigmoidConfig())])
+def test_flipping_ascent_returns_its_first_flipping_iterate(runner, smooth):
+    inst = generate(GeneratorSpec("grid", dist="normal", seed=1,
+                                  params={"rows": 6, "cols": 6}))
+    config = OptimizerConfig(budget_k=6.0, max_iters=300)
+    res = runner(inst, config, smooth)
+    assert res.flipped and res.stop == "flipped"
+    assert res.iterations == len(res.objective_trace) > 0
+    # every earlier iterate is on the trace, and none of them flipped
+    assert all(e.true_median <= 0.5 for e in res.objective_trace)
+    assert res.final_median == median(
+        equilibrium(inst, alpha=res.alpha_final).x_star)
+    # capped one step short of the flip, the same ascent does not flip
+    short = runner(inst, replace(config, max_iters=res.iterations - 1),
+                   smooth)
+    assert short.stop == "cap" and not short.flipped
+    assert short.objective_trace == res.objective_trace[:-1]
+
+
+@pytest.mark.parametrize("max_iters", [1, 3])
+def test_capped_ascent_reports_cap(max_iters):
+    rng = np.random.default_rng(45)
+    inst = random_connected_instance(rng, 10)
+    res = projected_huber(inst, OptimizerConfig(budget_k=1.0,
+                                                max_iters=max_iters),
+                          HuberConfig(0.1))
+    assert res.stop == "cap" and not res.converged
+    assert res.iterations == max_iters
 
 
 def test_iterates_stay_within_budget():
@@ -139,3 +197,17 @@ def test_trace_records_every_iteration():
         range(1, len(res.objective_trace) + 1)
     )
     assert res.iterations == len(res.objective_trace)
+
+
+# l1 flip budgets pinned from the ascent that kept climbing past its
+# first flip; an ascent's first flip decides `flipped` alone, so a
+# search that stops there finds the same budgets
+@pytest.mark.parametrize("seed, method, found", [
+    (1, "huber", 6.046875), (1, "sigmoid", 6.046875),
+    (3, "huber", 4.640625), (3, "sigmoid", 4.921875)])
+def test_flip_budgets_match_the_keep_climbing_ascent(seed, method, found):
+    inst = generate(GeneratorSpec("grid", dist="normal", seed=seed,
+                                  params={"rows": 6, "cols": 6}))
+    runner = method_runner(method, theta=0.5, seed=seed)
+    assert min_budget_to_flip(inst, runner, theta=0.5,
+                              continuous=True) == found
