@@ -19,8 +19,6 @@ from .estimators import (
 )
 from .projection import project_l1_box
 from .gradients import (
-    HuberGradient,
-    SigmoidGradient,
     equilibrium_jacobian_action,
     huber_gradient,
     sigmoid_gradient,
@@ -90,8 +88,6 @@ __all__ = [
     "huber_m_estimate",
     "sigmoid_objective",
     "project_l1_box",
-    "HuberGradient",
-    "SigmoidGradient",
     "equilibrium_jacobian_action",
     "huber_gradient",
     "sigmoid_gradient",

@@ -5,9 +5,9 @@ Budget convention: budgets, search caps and search resolutions count
 stooges (the l0 sense). The continuous methods spend an l1 budget
 instead and receive half the stooge count, matching the uniform
 alpha = 1/2 starting point where one full stooge costs 1/2 of l1
-movement; stooge_runner is the one place that converts. Found
-continuous flip budgets are therefore stooge equivalents (twice the l1
-radius).
+movement; method_answer is the one place that converts, and every
+record is an answer it returned. Found continuous flip budgets are
+therefore stooge equivalents (twice the l1 radius).
 """
 
 import json
@@ -21,7 +21,7 @@ from numbers import Real
 
 import numpy as np
 
-from .equilibrium import SolverError, equilibrium
+from .equilibrium import SolverError
 from .estimators import HuberConfig, SigmoidConfig, find_c
 from .greedy import (
     baseline_select,
@@ -73,10 +73,10 @@ CSV_COLUMNS = (
 class ExperimentConfig:
     """One instance, several methods, several seeds.
 
-    budget None means "search for the smallest flipping budget" via
-    flip_budget, up to max_budget and to within resolution; an integer
-    budget runs each method once at that stooge count. All three count
-    stooges (see stooge_runner).
+    budget None means "search for the smallest flipping budget", up to
+    max_budget and to within resolution; an integer budget runs each
+    method once at that stooge count. All three count stooges (see
+    method_answer).
     """
 
     instance: object
@@ -244,27 +244,33 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     return run
 
 
-def stooge_runner(method, theta, seed, params):
-    """method_runner whose budget argument counts stooges: huber and
-    sigmoid receive half of it as their l1 radius."""
+def method_answer(instance, method, theta=0.5, seed=None, params=None,
+                  budget=None, max_budget=None, resolution=0.5):
+    """(budget, result): the answer method's runner returned at budget,
+    in stooges. A given budget, 0 included, is one runner call; None
+    searches with min_budget_to_flip, capped at max_budget (every node
+    when None) and bisected to within resolution for the continuous
+    methods, and returns the answer the search met at the budget it
+    found, or (None, None) when no budget up to the cap flips. huber
+    and sigmoid receive half of each stooge budget as their l1 radius.
+    """
     runner = method_runner(method, theta=theta, seed=seed, params=params)
-    if method not in CONTINUOUS_METHODS:
-        return runner
-    return lambda instance, stooges: runner(instance, stooges / 2.0)
-
-
-def flip_budget(instance, method, runner, theta, max_budget, resolution,
-                base=None):
-    """min_budget_to_flip for a stooge_runner, in stooges. A max_budget
-    of None caps the search at every node; continuous methods bisect
-    down to resolution stooges. `base` is the unmodified instance's
-    equilibrium opinions, solved when None."""
     continuous = method in CONTINUOUS_METHODS
+    answers = {}
+
+    def run(inst, stooges):
+        answers[stooges] = runner(inst, stooges / 2.0 if continuous
+                                  else stooges)
+        return answers[stooges]
+
+    if budget is not None:
+        return budget, run(instance, budget)
     if continuous and max_budget is None:
         max_budget = instance.node_count
-    return min_budget_to_flip(instance, runner, theta=theta,
-                              max_budget=max_budget, continuous=continuous,
-                              resolution=resolution, base=base)
+    found = min_budget_to_flip(instance, run, theta=theta,
+                               max_budget=max_budget, continuous=continuous,
+                               resolution=resolution)
+    return found, answers.get(found)
 
 
 def _stooge_set(method, result, instance, k_equivalent):
@@ -276,41 +282,24 @@ def _stooge_set(method, result, instance, k_equivalent):
 
 
 def _run_one(config, method, seed):
-    """Record the runner's answer at the fixed budget, or the one the
-    flip search met at the budget it found; runtime_ms times that work."""
+    """Record method_answer's answer at the fixed budget, or at the one
+    its flip search found; runtime_ms times that work."""
     instance = config.instance
     n = instance.network.node_count
     record = RunRecord(
         instance=config.name, method=method, seed=seed, n=n,
         m=instance.network.edge_count, theta=config.theta,
     )
-    answers = {}
-
-    def recording(inst, budget):
-        answers[budget] = runner(inst, budget)
-        return answers[budget]
-
     try:
-        runner = stooge_runner(method, theta=config.theta, seed=seed,
-                               params=config.method_params.get(method))
         start = time.perf_counter()
-        # the flip search and a zero budget read the unmodified instance
-        base = None if config.budget else equilibrium(instance).x_star
-        if config.budget is None:
-            budget = flip_budget(instance, method, recording,
-                                 theta=config.theta,
-                                 max_budget=config.max_budget,
-                                 resolution=config.resolution, base=base)
-        else:
-            budget = config.budget
-            if budget > 0:
-                recording(instance, budget)
+        budget, result = method_answer(
+            instance, method, theta=config.theta, seed=seed,
+            params=config.method_params.get(method), budget=config.budget,
+            max_budget=config.max_budget, resolution=config.resolution)
         record.runtime_ms = 1e3 * (time.perf_counter() - start)
         if budget is None:
             record.error = "no flipping budget up to max_budget"
             return record
-        result = answers[budget] if budget > 0 else InterventionResult.of(
-            instance, instance.alpha, base, config.theta, {})
         record.budget = float(budget)
         record.percent_of_n = 100.0 * record.budget / n
         record.l1_used = float(result.l1_budget_used)

@@ -20,9 +20,8 @@ from .bench import (
     RunRecord,
     compare_stooges,
     emit_report,
-    flip_budget,
+    method_answer,
     run_experiment,
-    stooge_runner,
 )
 from .equilibrium import SolverError
 from .generators import DISTRIBUTIONS, TOPOLOGIES, GeneratorSpec, generate
@@ -140,9 +139,9 @@ def _budget_text(budget):
 
 def _cmd_optimize(args):
     instance = _load_from_args(args)
-    runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
-                           params=_method_params(args))
-    result = runner(instance, args.budget)
+    _, result = method_answer(instance, args.method, theta=args.theta,
+                              seed=args.seed, params=_method_params(args),
+                              budget=args.budget)
     # one write: a 10 000-node ascent can move thousands of stooges
     print("\n".join([
         f"method {args.method}",
@@ -165,11 +164,10 @@ def _cmd_optimize(args):
 
 def _cmd_flip(args):
     instance = _load_from_args(args)
-    runner = stooge_runner(args.method, theta=args.theta, seed=args.seed,
-                           params=_method_params(args))
-    found = flip_budget(instance, args.method, runner, theta=args.theta,
-                        max_budget=args.max_budget,
-                        resolution=args.resolution)
+    found, _ = method_answer(instance, args.method, theta=args.theta,
+                             seed=args.seed, params=_method_params(args),
+                             max_budget=args.max_budget,
+                             resolution=args.resolution)
     if found is None:
         print("no flipping budget found")
         return EXIT_OK

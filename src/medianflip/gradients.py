@@ -8,29 +8,9 @@ the full Jacobian is never materialized. Each gradient takes the
 EquilibriumSolution its caller solved and solves no equilibrium itself.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .estimators import huber_m_estimate, sigmoid
-
-
-@dataclass(frozen=True)
-class HuberGradient:
-    """Gradient of the Huber M-estimate at one equilibrium."""
-
-    gradient: np.ndarray
-    y_hat: float
-    members: np.ndarray
-    expansions: int
-
-
-@dataclass(frozen=True)
-class SigmoidGradient:
-    """Gradient of the sigmoid headcount at one equilibrium."""
-
-    gradient: np.ndarray
-    objective: float
 
 
 def equilibrium_jacobian_action(instance, solution, v):
@@ -55,33 +35,31 @@ def huber_gradient(instance, config, solution):
     """Gradient of y_hat(alpha) = argmin_y sum_i H_c(x*_i(alpha) - y) at
     the EquilibriumSolution that `equilibrium` returned for alpha.
 
-    Membership set I = {i : |x*_i - y_hat| < c}. The formula averages the
-    Jacobian rows over I; an empty I (possible when every residual is at
-    least c) is handled by doubling the radius until I is nonempty, with
-    the number of doublings reported.
+    Returns (gradient, y_hat). Membership set I = {i : |x*_i - y_hat| <
+    c}. The formula averages the Jacobian rows over I; an empty I
+    (possible when every residual is at least c) is handled by doubling
+    the radius until I is nonempty.
     """
     x_star = solution.x_star
     y_hat = huber_m_estimate(x_star, config)
     radius = config.c
-    expansions = 0
     members = np.abs(x_star - y_hat) < radius
     while not members.any():
         radius *= 2.0
-        expansions += 1
         members = np.abs(x_star - y_hat) < radius
     grad = equilibrium_jacobian_action(
         instance, solution, members.astype(float)) / members.sum()
-    return HuberGradient(grad, y_hat, members, expansions)
+    return grad, y_hat
 
 
 def sigmoid_gradient(instance, config, solution):
     """Gradient of f(alpha) = sum_u sigmoid(tau * (x*_u - theta)) at the
     EquilibriumSolution that `equilibrium` returned for alpha.
 
-    The pullback weight for node u is the sigmoid derivative
-    tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
+    Returns (gradient, f). The pullback weight for node u is the sigmoid
+    derivative tau * sig_u * (1 - sig_u) evaluated at the equilibrium.
     """
     sig = sigmoid(config.tau * (solution.x_star - config.theta))
     weights = config.tau * sig * (1.0 - sig)
     grad = equilibrium_jacobian_action(instance, solution, weights)
-    return SigmoidGradient(grad, float(sig.sum()))
+    return grad, float(sig.sum())

@@ -216,7 +216,7 @@ def jaccard(u1, u2):
 
 
 def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
-                       continuous=False, resolution=0.25, base=None):
+                       continuous=False, resolution=0.25):
     """A budget at which runner(instance, budget) reports flipped: the
     smallest one for discrete methods, a bisected one for continuous.
 
@@ -230,9 +230,12 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
     continuous runner may stop its ascent at the first flipping iterate:
     that leaves `flipped`, and so the budget found, as a full ascent
     would give it, and changes only the answer reported at that budget.
-    Returns 0 when no intervention is needed and None when max_budget
-    never flips. `base` is the unmodified instance's equilibrium
-    opinions, solved here when None. A max_budget that is negative, not
+    Every budget returned is one at which the runner flipped. When the
+    unmodified equilibrium median already exceeds theta, the runner is
+    asked at budget 0, and 0 is returned only if that answer flips (a
+    method with its own flip rule, such as the tree DP's strict
+    majority, may not); otherwise the search runs as usual. None means
+    max_budget never flips. A max_budget that is negative, not
     finite or, in a discrete scan, fractional, or a continuous resolution
     that is not positive, is an error; so is a boolean for either.
     """
@@ -243,9 +246,8 @@ def min_budget_to_flip(instance, runner, theta=0.5, max_budget=None,
                          f"whole for a discrete scan, got {max_budget!r}")
     if continuous and (isinstance(resolution, bool) or not resolution > 0):
         raise ValueError(f"resolution must be positive, got {resolution!r}")
-    if base is None:
-        base = equilibrium(instance).x_star
-    if median(base) > theta:
+    if (median(equilibrium(instance).x_star) > theta
+            and runner(instance, 0).flipped):
         return 0
     n = instance.node_count
     if continuous:

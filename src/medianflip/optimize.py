@@ -12,6 +12,7 @@ as it was.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -73,13 +74,17 @@ class InterventionResult:
     final_median: float
     flipped: bool
     objective_trace: list = field(default_factory=list)
-    converged: bool = True
     iterations: int = 0
     evals_per_iter: list = field(default_factory=list)
     s_final: np.ndarray = None  # innate opinions, when the method moved them
     # why the method stopped: an ascent's "converged", "cap" or "flipped",
     # lazy_greedy's "threshold", "k" or "stalled"; None for the others
     stop: str = None
+
+    @property
+    def converged(self):
+        """False only for an ascent that stopped at its iteration cap."""
+        return self.stop != "cap"
 
     @classmethod
     def of(cls, instance, alpha, x, theta, stooges, s=None, **diagnostics):
@@ -166,27 +171,18 @@ def _ascend(instance, config, gradient_fn, theta):
     return InterventionResult.of(
         instance, best_alpha, best_x, theta,
         _stooge_view(best_alpha, alpha0),
-        objective_trace=trace, converged=converged, iterations=len(trace),
-        stop=stop,
+        objective_trace=trace, iterations=len(trace), stop=stop,
     )
 
 
 def projected_huber(instance, config, huber, theta=0.5):
     """Gradient ascent on the Huber M-estimate of the equilibrium opinions."""
-
-    def grad_fn(solution):
-        res = huber_gradient(instance, huber, solution)
-        return res.gradient, res.y_hat
-
-    return _ascend(instance, config, grad_fn, theta)
+    return _ascend(instance, config, partial(huber_gradient, instance, huber),
+                   theta)
 
 
 def sigmoid_gd(instance, config, sig):
     """Gradient ascent on the sigmoid count of nodes above the threshold
     sig.theta, which is also the flip threshold."""
-
-    def grad_fn(solution):
-        res = sigmoid_gradient(instance, sig, solution)
-        return res.gradient, res.objective
-
-    return _ascend(instance, config, grad_fn, sig.theta)
+    return _ascend(instance, config, partial(sigmoid_gradient, instance, sig),
+                   sig.theta)

@@ -112,21 +112,21 @@ def test_criterion_02_gradients_match_finite_differences():
         attempts += 1
         inst = random_connected_instance(rng, int(rng.integers(5, 21)))
         if checked_s < 20:
-            res = sigmoid_gradient(inst, cfg_s, equilibrium(inst))
+            grad, _ = sigmoid_gradient(inst, cfg_s, equilibrium(inst))
             fd = fd_gradient(inst, lambda x: sigmoid_objective(x, cfg_s))
-            rel = np.linalg.norm(res.gradient - fd) / max(
+            rel = np.linalg.norm(grad - fd) / max(
                 np.linalg.norm(fd), 1e-10)
             worst_s = max(worst_s, rel)
             assert rel <= 1e-3
             checked_s += 1
         if checked_h < 20:
             sol = equilibrium(inst)
-            res = huber_gradient(inst, cfg_h, sol)
-            margin = np.min(np.abs(np.abs(sol.x_star - res.y_hat) - cfg_h.c))
+            grad, y_hat = huber_gradient(inst, cfg_h, sol)
+            margin = np.min(np.abs(np.abs(sol.x_star - y_hat) - cfg_h.c))
             if margin >= 1e-4:  # exclude kink-adjacent points
                 fd = fd_gradient(
                     inst, lambda x: exact_huber_estimate(x, cfg_h.c))
-                rel = np.linalg.norm(res.gradient - fd) / max(
+                rel = np.linalg.norm(grad - fd) / max(
                     np.linalg.norm(fd), 1e-10)
                 worst_h = max(worst_h, rel)
                 assert rel <= 1e-3

@@ -27,10 +27,9 @@ from medianflip.bench import (
     RunRecord,
     compare_stooges,
     emit_report,
-    flip_budget,
+    method_answer,
     method_runner,
     run_experiment,
-    stooge_runner,
 )
 from medianflip.greedy import (
     min_budget_to_flip,
@@ -177,12 +176,12 @@ class TestMethodRunner:
             calls.append(1), real(*a, **k))[1])
         inst = generate(GeneratorSpec("org_chart", seed=0,
                                       params={"n": 120}))
-        runner = stooge_runner("tree-dp", theta=0.5, seed=0,
-                               params={"mode": "both"})
-        assert flip_budget(inst, "tree-dp", runner, theta=0.5,
-                           max_budget=None, resolution=0.5) == 10
+        budget, answer = method_answer(inst, "tree-dp", seed=0,
+                                       params={"mode": "both"})
+        assert budget == 10 and answer.flipped
         assert len(calls) == 1
         # every budget still gets an answer of its own
+        runner = method_runner("tree-dp", params={"mode": "both"})
         first, again = runner(inst, 10), runner(inst, 10)
         assert first is not again and first.flipped and again.flipped
         assert first.alpha_final is not again.alpha_final
@@ -337,6 +336,20 @@ def ba_instance():
     return Instance(g.network, g.alpha, np.clip(g.s + 0.03, 0.0, 1.0))
 
 
+def dp_chart():
+    # opinions lifted by 0.05: the tree DP's own pass reads median 0.5149
+    # with no stooges, where equilibrium reads 0.2618; the DP needs 2
+    inst = generate(GeneratorSpec("org_chart", seed=4, params={"n": 10}))
+    return inst.with_s(inst.s + 0.05)
+
+
+def flipped_path():
+    # a directed path with alpha = 1: x* = s by equilibrium and by the
+    # tree pass alike, so every method flips it with no stooges
+    net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
+    return Instance(net, np.ones(3), np.array([0.55, 0.60, 0.70]))
+
+
 def counting(monkeypatch, name):
     """Count the calls of bench.<name>; returns the list of budgets."""
     calls = []
@@ -373,15 +386,16 @@ class TestSearchAnswers:
         assert rec.flipped and rec.budget / 2 in radii
         assert len(radii) == len(set(radii)) > 1
 
-    def test_zero_budget_search_solves_the_base_once(self, monkeypatch):
+    def test_zero_budget_search_solves_the_guard_and_the_answer(
+            self, monkeypatch):
         solves = []
-        real = bench.equilibrium
+        real = greedy.equilibrium
 
         def counted(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "equilibrium", counted)
+        # the search's guard and lazy_greedy both solve through greedy
         monkeypatch.setattr(greedy, "equilibrium", counted)
         # a path whose median already exceeds theta
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -391,32 +405,61 @@ class TestSearchAnswers:
         assert rec.error is None and rec.budget == 0
         assert rec.flipped and rec.l0_used == 0 and rec.stooges == ()
         assert rec.final_median == median(real(inst).x_star)
-        assert len(solves) == 1
+        # the guard's solve, then lazy_greedy's answer at budget 0
+        assert len(solves) == 2
 
-    @pytest.mark.parametrize("budget", [None, 3])
+    @pytest.mark.parametrize("budget", [None, 0, 3])
     def test_records_equal_direct_runs(self, budget):
-        inst = ba_instance()
         methods = ("huber", "sigmoid", "greedy", "greedy-score", "random",
                    "degree", "centrality")
         params = {"huber": {"max_iters": 20}, "sigmoid": {"max_iters": 20}}
-        report = run_experiment(ExperimentConfig(
-            inst, methods=methods, seeds=(0, 1), budget=budget,
-            method_params=params))
-        for rec in report.records:
-            assert rec.error is None, rec
-            runner = stooge_runner(rec.method, theta=0.5, seed=rec.seed,
-                                   params=params.get(rec.method))
-            res = runner(inst, rec.budget)
-            if rec.method in CONTINUOUS_METHODS:
-                k = int(np.ceil(rec.budget))
-                stooges = round_to_stooges(res.alpha_final, inst.alpha, k)
-            else:
-                stooges = res.stooges
-            assert rec.final_median == res.final_median, rec
-            assert rec.stooges == tuple(sorted(stooges)), rec
-            assert rec.l0_used == res.l0_budget_used, rec
-            assert rec.l1_used == res.l1_budget_used, rec
-            assert rec.flipped == res.flipped, rec
+        cases = [(ba_instance(), methods, budget),
+                 (dp_chart(), ("tree-dp",), budget)]
+        if budget == 0:
+            # searches that end at 0: every method's answer there flips
+            cases.append((flipped_path(), METHODS, None))
+        for inst, run_methods, config_budget in cases:
+            report = run_experiment(ExperimentConfig(
+                inst, methods=run_methods, seeds=(0, 1),
+                budget=config_budget, method_params=params))
+            for rec in report.records:
+                assert rec.error is None, rec
+                if budget == 0:
+                    assert rec.budget == 0, rec
+                _, res = method_answer(inst, rec.method, seed=rec.seed,
+                                       params=params.get(rec.method),
+                                       budget=rec.budget)
+                if rec.method in CONTINUOUS_METHODS and rec.budget > 0:
+                    k = int(np.ceil(rec.budget))
+                    stooges = round_to_stooges(res.alpha_final, inst.alpha,
+                                               k)
+                else:
+                    stooges = res.stooges
+                assert rec.final_median == res.final_median, rec
+                assert rec.stooges == tuple(sorted(stooges)), rec
+                assert rec.l0_used == res.l0_budget_used, rec
+                assert rec.l1_used == res.l1_budget_used, rec
+                assert rec.flipped == res.flipped, rec
+                assert rec.stop == res.stop, rec
+                if rec.method == "tree-dp" and config_budget == 0:
+                    # the DP's own tree pass, not equilibrium's 0.2618
+                    assert rec.final_median == pytest.approx(0.5149,
+                                                             abs=1e-4)
+
+    @pytest.mark.parametrize("method", sorted(CONTINUOUS_METHODS))
+    def test_continuous_methods_get_half_the_stooges(self, method):
+        inst = ba_instance()
+        params = {"max_iters": 20}
+        for k in (0, 3, 5):
+            budget, res = method_answer(inst, method, seed=0, params=params,
+                                        budget=k)
+            direct = method_runner(method, seed=0, params=params)(inst,
+                                                                  k / 2)
+            assert budget == k
+            assert np.array_equal(res.alpha_final, direct.alpha_final)
+            assert res.final_median == direct.final_median
+            assert res.l1_budget_used == direct.l1_budget_used
+            assert res.objective_trace == direct.objective_trace
 
 
 class TestResultAccounting:
@@ -426,8 +469,7 @@ class TestResultAccounting:
                                       params={"n": 30}))
         params = {"tree-dp": {"mode": "both"}, "huber": {"max_iters": 30},
                   "sigmoid": {"max_iters": 30}}.get(method)
-        res = stooge_runner(method, theta=0.5, seed=0, params=params)(
-            inst, 6)
+        _, res = method_answer(inst, method, seed=0, params=params, budget=6)
         shift = np.abs(res.alpha_final - inst.alpha)
         s = inst.s if res.s_final is None else res.s_final
         moved = (shift > 1e-9) | (s != inst.s)
@@ -442,13 +484,25 @@ class TestResultAccounting:
         # the DP's strict majority needs the root pinned, at cost 1
         net = build_network(2, [(0, 1, 1.0)], directed=True)
         inst = Instance(net, np.full(2, 0.5), np.array([0.0, 0.9]))
-        runner = stooge_runner("tree-dp", theta=0.5, seed=0, params=None)
-        over = runner(inst, 0)
+        _, over = method_answer(inst, "tree-dp", seed=0, budget=0)
         assert over.final_median > 0.5 and not over.flipped
         assert over.stooges == {} and over.l0_budget_used == 0
         assert over.l1_budget_used == 0.0
-        fits = runner(inst, 1)
+        _, fits = method_answer(inst, "tree-dp", seed=0, budget=1)
         assert fits.flipped and fits.l0_budget_used == 1
+
+    def test_tree_dp_search_past_an_unflipped_budget_zero(self):
+        # root 0 over a fully resistant leaf 1: the equilibrium median 0.9
+        # is above theta, but the runner's answer at budget 0 does not
+        # flip, so the search goes on to the DP cost of 1
+        net = build_network(2, [(0, 1, 1.0)], directed=True)
+        inst = Instance(net, np.array([0.5, 1.0]), np.array([0.0, 0.9]))
+        assert median(equilibrium(inst).x_star) > 0.5
+        rec = run_experiment(ExperimentConfig(
+            inst, methods=("tree-dp",))).records[0]
+        assert rec.error is None
+        assert rec.budget == 1.0 and rec.flipped and rec.l0_used == 1
+        assert rec.stooges == (0,)
 
     def test_tree_dp_search_ends_at_the_dp_cost(self):
         # every budget below the DP cost of 2 leaves the upper median

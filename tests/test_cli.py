@@ -23,8 +23,9 @@ from medianflip import (
     min_budget_to_flip,
     save_instance,
 )
+import medianflip.bench as bench
 import medianflip.cli as cli
-from medianflip.bench import flip_budget, stooge_runner
+from medianflip.bench import method_answer
 from medianflip.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main, _parse_param
 from medianflip.equilibrium import SolverError
 from medianflip.optimize import InterventionResult
@@ -255,8 +256,8 @@ class TestOptimize:
         code = main(["optimize", "--instance", str(path), "--method",
                      "degree", "--budget", budget, "--seed", "0"])
         assert code == EXIT_OK
-        res = stooge_runner("degree", theta=0.5, seed=0, params={})(
-            small_instance(), float(budget))
+        _, res = method_answer(small_instance(), "degree", seed=0,
+                               budget=float(budget))
         assert len(res.stooges) == int(budget)
         lines = ["method degree", f"budget {budget}",
                  f"flipped {'true' if res.flipped else 'false'}",
@@ -283,8 +284,8 @@ class TestOptimize:
         code = main(["optimize", "--instance", str(path), "--method", method,
                      "--budget", budget, "--seed", "0", *options])
         assert code == EXIT_OK
-        res = stooge_runner(method, theta=0.5, seed=0, params=params)(
-            inst, float(budget))
+        _, res = method_answer(inst, method, seed=0, params=params,
+                               budget=float(budget))
         assert res.stooges
         stooge_lines = [ln for ln in capsys.readouterr().out.splitlines()
                         if ln.startswith("stooge ")]
@@ -328,7 +329,7 @@ class TestOptimize:
                 passes.append(stack.enter_context(gc_passes()))
                 return result
 
-            monkeypatch.setattr(cli, "stooge_runner",
+            monkeypatch.setattr(bench, "method_runner",
                                 lambda *args, **kwargs: runner)
             code = main(["optimize", "--instance", str(path), "--method",
                          "sigmoid", "--budget", "1"])
@@ -475,10 +476,7 @@ class TestFlip:
                                       params={"n": 30}))
         path = tmp_path / "org.json"
         save_instance(inst, path)
-        runner = stooge_runner("tree-dp", theta=0.5, seed=None,
-                               params={"mode": "both"})
-        expected = flip_budget(inst, "tree-dp", runner, theta=0.5,
-                               max_budget=None, resolution=0.5)
+        expected, _ = method_answer(inst, "tree-dp", params={"mode": "both"})
         assert expected is not None
         code = main(["flip", "--instance", str(path), "--method", "tree-dp",
                      "--mode", "both"])
@@ -495,10 +493,9 @@ class TestFlip:
                                       params={"rows": 6, "cols": 6}))
         path = tmp_path / "grid.json"
         save_instance(inst, path)
-        runner = stooge_runner("sigmoid", theta=0.5, seed=None,
-                               params={"max_iters": 30})
-        expected = flip_budget(inst, "sigmoid", runner, theta=0.5,
-                               max_budget=None, resolution=0.001)
+        expected, _ = method_answer(inst, "sigmoid",
+                                    params={"max_iters": 30},
+                                    resolution=0.001)
         # a bisected budget carries more than the six digits of :g
         assert f"{expected:g}" != repr(expected)
         code = main(["flip", "--instance", str(path), "--method", "sigmoid",
@@ -508,6 +505,19 @@ class TestFlip:
         assert f"budget_to_flip {expected!r}\n" in out
         printed = out.split("budget_to_flip ", 1)[1].split()[0]
         assert float(printed) == expected
+
+    def test_tree_dp_flip_is_the_dp_cost_above_theta(self, tmp_path,
+                                                     capsys):
+        # root 0 over a fully resistant leaf 1: the equilibrium median 0.9
+        # is above theta, but the DP's strict majority needs the root
+        net = build_network(2, [(0, 1, 1.0)], directed=True)
+        path = tmp_path / "chart.json"
+        save_instance(Instance(net, np.array([0.5, 1.0]),
+                               np.array([0.0, 0.9])), path)
+        code = main(["flip", "--instance", str(path), "--method", "tree-dp"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "budget_to_flip 1\npercent_of_n 50.00\n")
 
     def test_unflippable_reports_none(self, tmp_path, capsys):
         net = build_network(2, [(0, 1, 1.0)])

@@ -55,10 +55,9 @@ def test_action_matches_finite_differences():
 def test_huber_gradient_single_node():
     net = build_network(1, [])
     inst = Instance(net, [0.5], [0.8])
-    res = huber_gradient(inst, HuberConfig(c=0.2), equilibrium(inst))
-    assert res.y_hat == pytest.approx(0.4)
-    assert res.members.tolist() == [True]
-    assert res.gradient[0] == pytest.approx(0.8, abs=1e-9)  # dx*/dalpha = s
+    grad, y_hat = huber_gradient(inst, HuberConfig(c=0.2), equilibrium(inst))
+    assert y_hat == pytest.approx(0.4)
+    assert grad[0] == pytest.approx(0.8, abs=1e-9)  # dx*/dalpha = s
 
 
 def test_huber_gradient_matches_finite_differences():
@@ -69,12 +68,12 @@ def test_huber_gradient_matches_finite_differences():
     for _ in range(12):
         inst = random_connected_instance(rng, 15)
         sol = equilibrium(inst)
-        res = huber_gradient(inst, cfg, sol)
-        margin = np.min(np.abs(np.abs(sol.x_star - res.y_hat) - c))
+        grad, y_hat = huber_gradient(inst, cfg, sol)
+        margin = np.min(np.abs(np.abs(sol.x_star - y_hat) - c))
         if margin < 1e-4:
             continue  # membership boundary, derivative genuinely kinked
         fd = fd_gradient(inst, lambda x: exact_huber_estimate(x, c))
-        rel = np.linalg.norm(res.gradient - fd) / max(np.linalg.norm(fd), 1e-10)
+        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
         assert rel <= 1e-3
         checked += 1
     assert checked >= 6
@@ -83,11 +82,11 @@ def test_huber_gradient_matches_finite_differences():
 def test_huber_gradient_constant_equilibrium_uses_all_members():
     net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
     inst = Instance(net, np.ones(3), np.full(3, 0.6))
-    res = huber_gradient(inst, HuberConfig(c=0.1), equilibrium(inst))
-    assert res.members.all()
-    direct = equilibrium_jacobian_action(inst, equilibrium(inst),
-                                         np.ones(3) / 3)
-    assert np.allclose(res.gradient, direct, atol=1e-12)
+    sol = equilibrium(inst)
+    grad, y_hat = huber_gradient(inst, HuberConfig(c=0.1), sol)
+    assert (np.abs(sol.x_star - y_hat) < 0.1).all()
+    direct = equilibrium_jacobian_action(inst, sol, np.ones(3) / 3)
+    assert np.allclose(grad, direct, atol=1e-12)
 
 
 def test_huber_gradient_rejects_solution_without_operator():
@@ -104,26 +103,34 @@ def test_huber_gradient_empty_membership_expands():
     net = build_network(2, [(0, 1, 1.0)])
     inst = Instance(net, [1.0, 1.0], [0.0, 1.0])
     # x* = (0, 1); with c = 0.3 the estimate is 0.5, both residuals 0.5 >= c
-    res = huber_gradient(inst, HuberConfig(c=0.3), equilibrium(inst))
-    assert res.expansions >= 1
-    assert res.members.any()
+    sol = equilibrium(inst)
+    grad, y_hat = huber_gradient(inst, HuberConfig(c=0.3), sol)
+    residuals = np.abs(sol.x_star - y_hat)
+    assert not (residuals < 0.3).any()
+    # one doubling to 0.6 takes both nodes in
+    members = residuals < 0.6
+    assert members.all()
+    pullback = equilibrium_jacobian_action(inst, sol, members / members.sum())
+    assert np.array_equal(grad, pullback)
+    assert grad.any()
 
 
 def test_sigmoid_gradient_saturated_region_is_flat():
     rng = np.random.default_rng(34)
     inst = random_connected_instance(rng, 8, alpha_range=(0.9, 1.0))
     inst = inst.with_s(rng.uniform(0.9, 1.0, 8))
-    res = sigmoid_gradient(inst, SigmoidConfig(theta=-0.2, tau=25.0),
-                           equilibrium(inst))
-    assert np.max(np.abs(res.gradient)) <= 1e-8
+    grad, _ = sigmoid_gradient(inst, SigmoidConfig(theta=-0.2, tau=25.0),
+                               equilibrium(inst))
+    assert np.max(np.abs(grad)) <= 1e-8
 
 
 def test_sigmoid_gradient_single_node_at_threshold():
     net = build_network(1, [])
     inst = Instance(net, [0.5], [0.8])  # x* = 0.4
-    res = sigmoid_gradient(inst, SigmoidConfig(theta=0.4, tau=25.0),
-                           equilibrium(inst))
-    assert res.gradient[0] == pytest.approx(25.0 / 4 * 0.8, rel=1e-9)
+    grad, objective = sigmoid_gradient(
+        inst, SigmoidConfig(theta=0.4, tau=25.0), equilibrium(inst))
+    assert objective == pytest.approx(0.5)
+    assert grad[0] == pytest.approx(25.0 / 4 * 0.8, rel=1e-9)
 
 
 def test_sigmoid_gradient_matches_finite_differences():
@@ -133,9 +140,9 @@ def test_sigmoid_gradient_matches_finite_differences():
 
     for _ in range(8):
         inst = random_connected_instance(rng, 10)
-        res = sigmoid_gradient(inst, cfg, equilibrium(inst))
+        grad, _ = sigmoid_gradient(inst, cfg, equilibrium(inst))
         fd = fd_gradient(inst, lambda x: sigmoid_objective(x, cfg))
-        rel = np.linalg.norm(res.gradient - fd) / max(np.linalg.norm(fd), 1e-10)
+        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
         assert rel <= 1e-3
 
 

@@ -10,6 +10,7 @@ from medianflip.estimators import HuberConfig, SigmoidConfig
 from medianflip.greedy import min_budget_to_flip
 from medianflip.optimize import (
     AdamState,
+    InterventionResult,
     OptimizerConfig,
     adam_step,
     projected_huber,
@@ -145,6 +146,19 @@ def test_flipping_ascent_returns_its_first_flipping_iterate(runner, smooth):
                    smooth)
     assert short.stop == "cap" and not short.flipped
     assert short.objective_trace == res.objective_trace[:-1]
+
+
+def test_converged_reads_the_stop():
+    # a flipped ascent reads as converged; only a cap stop does not
+    flipped, capped = (
+        projected_huber(single_node(), OptimizerConfig(
+            budget_k=0.5, max_iters=max_iters), HuberConfig(0.1))
+        for max_iters in (100, 1))
+    assert flipped.stop == "flipped" and flipped.converged
+    assert capped.stop == "cap" and not capped.converged
+    with pytest.raises(TypeError):  # a property, not a field
+        InterventionResult(np.zeros(1), {}, 0, 0.0, 0.3, False,
+                           converged=False)
 
 
 @pytest.mark.parametrize("max_iters", [1, 3])

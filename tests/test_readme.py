@@ -1,10 +1,14 @@
-"""The README quick start prints what the comments on its lines say."""
+"""The README quick start prints what the comments on its lines say, and
+every command of its command-line block parses."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from medianflip.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DECIMAL = re.compile(r"-?\d+\.\d+")
@@ -35,3 +39,16 @@ def test_quick_start_prints_what_its_comments_say():
     assert shown == ["0.4792", "{0: 0.0}", "0.5700 True"]
     for value, claim in zip(shown, claims):
         assert claim.startswith(value)
+
+
+def test_command_line_block_parses():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line.split("#", 1)[0])
+                for line in block.splitlines() if line.strip()]
+    assert len(commands) == 8
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "medianflip"
+        parser.parse_args(argv[1:])  # argparse exits on an invalid command
