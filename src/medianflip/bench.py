@@ -17,7 +17,6 @@ import weakref
 from csv import writer as csv_writer
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from numbers import Real
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .optimize import (
     projected_huber,
     sigmoid_gd,
 )
+from .stats import validate_theta
 from .treedp import (
     TreeInstance,
     apply_assignment,
@@ -195,9 +195,7 @@ def method_runner(method, theta=0.5, seed=None, params=None):
     huber's find_c and the tree DP, runs once per live instance.
     """
     _check_options(method, params)
-    if (isinstance(theta, bool) or not isinstance(theta, Real)
-            or not np.isfinite(theta)):
-        raise ValueError(f"theta must be finite and real, got {theta!r}")
+    validate_theta(theta)
     params = {k: v for k, v in (params or {}).items() if v is not None}
     # each value is checked by the config or function that reads it
     ascent = OptimizerConfig(0.0, **{k: params.pop(k)

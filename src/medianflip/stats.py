@@ -9,7 +9,17 @@ _clip_sum_root solves the sorted-breakpoint equation behind both the
 Huber M-estimate and the l1-box projection.
 """
 
+from numbers import Real
+
 import numpy as np
+
+
+def validate_theta(theta):
+    """Reject a threshold that is not a finite real number; a bool is
+    not one."""
+    if (isinstance(theta, bool) or not isinstance(theta, Real)
+            or not np.isfinite(theta)):
+        raise ValueError(f"theta must be finite and real, got {theta!r}")
 
 
 def median(x):

@@ -4,23 +4,28 @@ A hierarchy is a rooted directed tree with every arc pointing away from
 the root. Each node averages over its out-neighbors (its children), so
 opinions depend only on the subtree below and one bottom-up pass yields
 the equilibrium. The DP tracks, per node, the maximum achievable opinion
-for every (votes-in-subtree, stooge-cost) pair in a dense float array,
--inf where no assignment reaches the pair; children are merged with a
-two-dimensional max-plus knapsack over those arrays. The backtrack
-finds each winner again on the cells it follows; among equal opinions
-the smallest option index wins, then the child cell first in row-major
-order. Each table takes O(voters x total stooge cost) memory, so large
-integer costs widen every table.
+for every (votes-in-subtree, stooge-cost) pair. Each table is a float
+array over the bounding box of its reached cells, -inf at the cells
+inside the box that no assignment reaches, with the (votes, cost) of the
+box's corner; a leaf's table comes straight from its stooge options.
+Children are merged with a two-dimensional max-plus knapsack over those
+boxes. The backtrack finds each winner again on the cells it follows;
+among equal opinions the smallest option index wins, then the child
+cell first in row-major order. A table takes O(voters x total stooge
+cost) memory in the worst case, so large integer costs can widen every
+table.
 
 Leaf convention: a childless node keeps x = s regardless of resistance,
 since its expressed and innate opinions coincide at the fixed point.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .network import NetworkError
+from .stats import validate_theta
 
 MODES = ("resistance", "opinion", "both")
 
@@ -159,63 +164,110 @@ class TreeDPResult:
     root_table: dict = None
 
 
+class _Box(NamedTuple):
+    """A DP table held as the bounding box of its reached cells: x[a, b]
+    is the cell (j + a, k + b), -inf where no assignment reaches it.
+    A node's table carries its count of reached cells; a leaf's also
+    lists them, (a, b, x[a, b]) in row-major order."""
+
+    x: np.ndarray
+    j: int
+    k: int
+    reached: int = None
+    cells: list = None
+
+
+# the table of a node's merged children before its first child
+_EMPTY = _Box(np.zeros((1, 1)), 0, 0)
+
+
+def _reached_cells(x):
+    """(a, b, x[a, b]) for the finite cells of x, in row-major order."""
+    a, b = np.nonzero(np.isfinite(x))
+    return zip(a.tolist(), b.tolist(), x[a, b].tolist())
+
+
 def _merge(acc, child, w):
     """Max-plus convolution of the children merged so far with one more:
     out[J + j, K + k] = max over pairs of acc[J, K] + w * child[j, k].
 
-    The loop runs over the reached cells of the table with fewer of
-    them, one block update over the other table per cell.
+    Both operands are boxes of their reached cells, so out's box, the
+    sum of theirs, is exactly that of its reached cells and needs no
+    scan. The loop runs over the reached cells of the operand with fewer
+    of them, the child's count carried with its table, one block update
+    over the other's box per cell; a leaf child loops over its own
+    cells. The other operand is laid out on out's row length, -inf past
+    its own columns, so that each block update is one contiguous run.
     """
-    wc = w * child
-    out = np.full((acc.shape[0] + child.shape[0] - 1,
-                   acc.shape[1] + child.shape[1] - 1), -np.inf)
-    n_acc, n_child = np.isfinite(acc).sum(), np.isfinite(child).sum()
-    small, big = (acc, wc) if n_acc <= n_child else (wc, acc)
+    rows_out = acc.x.shape[0] + child.x.shape[0] - 1
+    cols_out = acc.x.shape[1] + child.x.shape[1] - 1
+    if child.cells is not None:
+        cells, big = [(a, b, w * v) for a, b, v in child.cells], acc.x
+    elif np.count_nonzero(np.isfinite(acc.x)) <= child.reached:
+        cells, big = _reached_cells(acc.x), w * child.x
+    else:
+        cells, big = _reached_cells(w * child.x), acc.x
     rows, cols = big.shape
-    js, ks = np.nonzero(np.isfinite(small))
-    for j, k, v in zip(js.tolist(), ks.tolist(), small[js, ks].tolist()):
-        block = out[j:j + rows, k:k + cols]
-        np.maximum(block, big + v, out=block)
-    return out
+    run = np.full((rows, cols_out), -np.inf)
+    run[:, :cols] = big
+    run = run.ravel()[:(rows - 1) * cols_out + cols]
+    out = np.full(rows_out * cols_out, -np.inf)
+    for a, b, v in cells:
+        block = out[a * cols_out + b:a * cols_out + b + run.size]
+        np.maximum(block, run + v, out=block)
+    return _Box(out.reshape(rows_out, cols_out), acc.j + child.j,
+                acc.k + child.k)
 
 
-def _options(tree, u, acc, leaf):
-    """(cost, opinion of u over acc's cells) per stooge option of
-    _node_cases, -inf where acc is unreached. Unreached cells are masked
-    before _combine, which would otherwise form 0 * -inf at alpha = 1."""
-    ok = np.isfinite(acc)
-    sums = acc[ok]
-    for _, cost, a_eff, s_eff in _node_cases(tree, u):
-        x = np.full(acc.shape, -np.inf)
-        x[ok] = s_eff if leaf else _combine(tree, u, a_eff, s_eff, sums)
-        yield cost, x
-
-
-def _node_table(tree, u, acc, leaf, theta):
-    """u's table: every stooge option applied to every reached cell of
-    its merged children's table acc."""
+def _leaf_table(tree, u, theta):
+    """A leaf's table straight from its stooge options: each reaches the
+    cell (1 if u votes and s_eff > theta else 0, cost) with opinion
+    s_eff, and a cell two options reach keeps the larger."""
     vote = bool(tree.voting[u])
-    rows, cols = acc.shape
-    out = np.full((rows + vote, cols + int(tree.costs[u])), -np.inf)
-    for cost, x in _options(tree, u, acc, leaf):
-        lifted = (x > theta) & vote
-        block = out[:rows, cost:cost + cols]
-        np.maximum(block, np.where(lifted, -np.inf, x), out=block)
-        if lifted.any():  # never when u does not vote: out has no row for it
-            block = out[1:, cost:cost + cols]
-            np.maximum(block, np.where(lifted, x, -np.inf), out=block)
-    return out
+    best = {}
+    for _, cost, _, s_eff in _node_cases(tree, u):
+        cell = (int(vote and s_eff > theta), cost)
+        best[cell] = max(best.get(cell, -np.inf), s_eff)
+    j, k = min(a for a, _ in best), min(b for _, b in best)
+    cells = [(a - j, b - k, best[a, b]) for a, b in sorted(best)]
+    x = np.full((cells[-1][0] + 1, max(b for _, b, _ in cells) + 1), -np.inf)
+    for a, b, v in cells:
+        x[a, b] = v
+    return _Box(x, j, k, len(cells), cells)
+
+
+def _node_table(tree, u, acc, theta):
+    """u's table: every stooge option applied to every reached cell of
+    its merged children's table acc, built in the box of the cells it
+    reaches. Only reached cells go through _combine, which would
+    otherwise form 0 * -inf at alpha = 1."""
+    # one row per option, one column per reached cell of acc
+    cost, a_eff, s_eff = (np.array(column)[:, None]
+                          for column in list(zip(*_node_cases(tree, u)))[1:])
+    a, b = np.nonzero(np.isfinite(acc.x))
+    x = _combine(tree, u, a_eff, s_eff, acc.x[a, b])
+    rows = a + ((x > theta) & bool(tree.voting[u]))
+    cols = b + cost
+    j, k = int(rows.min()), int(cols.min())
+    out = np.full((int(rows.max()) - j + 1, int(cols.max()) - k + 1), -np.inf)
+    np.maximum.at(out, (rows - j, cols - k), x)
+    return _Box(out, acc.j + j, acc.k + k,
+                int(np.count_nonzero(np.isfinite(out))))
 
 
 def _winning_option(tree, u, acc, leaf, theta, table, j, k):
     """Option index of the first option that gives u's table its value
     at (j, k), and the cell of acc it came from."""
-    target = table[j, k]
+    target = table.x[j - table.j, k - table.k]
     J = j - int(bool(tree.voting[u]) and target > theta)
-    for case, (cost, x) in enumerate(_options(tree, u, acc, leaf)):
+    rows, cols = acc.x.shape
+    for case, (_, cost, a_eff, s_eff) in enumerate(_node_cases(tree, u)):
         K = k - cost
-        if 0 <= J < acc.shape[0] and 0 <= K < acc.shape[1] and \
-                x[J, K] == target:
+        a, b = J - acc.j, K - acc.k
+        if not (0 <= a < rows and 0 <= b < cols and np.isfinite(acc.x[a, b])):
+            continue
+        x = s_eff if leaf else _combine(tree, u, a_eff, s_eff, acc.x[a, b])
+        if x == target:
             return case, J, K
     raise RuntimeError(f"no stooge option of node {u} gives cell {(j, k)}")
 
@@ -223,28 +275,35 @@ def _winning_option(tree, u, acc, leaf, theta, table, j, k):
 def _winning_pair(prev, child, w, J, K, target):
     """The child cell (a, b) first in row-major order with
     prev[J - a, K - b] + w * child[a, b] == target."""
-    a0, a1 = max(0, J - prev.shape[0] + 1), min(child.shape[0], J + 1)
-    b0, b1 = max(0, K - prev.shape[1] + 1), min(child.shape[1], K + 1)
-    # prev's rows J - a and columns K - b for a, b ascending
-    flipped = prev[J - a1 + 1:J - a0 + 1, K - b1 + 1:K - b0 + 1][::-1, ::-1]
-    hits = np.flatnonzero(flipped + w * child[a0:a1, b0:b1] == target)
+    # (J, K) within the merged box, whose corner is prev's plus child's
+    dj, dk = J - prev.j - child.j, K - prev.k - child.k
+    p, c = prev.x, child.x
+    a0, a1 = max(0, dj - p.shape[0] + 1), min(c.shape[0], dj + 1)
+    b0, b1 = max(0, dk - p.shape[1] + 1), min(c.shape[1], dk + 1)
+    # prev's rows dj - a and columns dk - b for a, b ascending
+    flipped = p[dj - a1 + 1:dj - a0 + 1, dk - b1 + 1:dk - b0 + 1][::-1, ::-1]
+    hits = np.flatnonzero(flipped + w * c[a0:a1, b0:b1] == target)
     if not len(hits):
         raise RuntimeError(f"no child cell gives merged cell {(J, K)}")
     a, b = divmod(int(hits[0]), b1 - b0)
-    return a0 + a, b0 + b
+    return child.j + a0 + a, child.k + b0 + b
 
 
 def tree_dp_min_stooges(tree, theta=0.5):
     """Minimum stooge cost making strictly more than half of the voting
     nodes exceed theta, with the realizing assignment.
 
-    Each node's table is a float array x[j, k] of shape (voting subtree
-    nodes + 1, subtree stooge cost + 1): the maximum opinion of u over
+    Each node's table holds x[j, k]: the maximum opinion of u over
     assignments in its subtree with exactly j voting subtree nodes above
     theta at cost k, -inf where none exists. Keeping only the maximum
     opinion per (j, k) is lossless: opinions propagate upward with
     nonnegative coefficients, so a higher child opinion dominates at
-    every ancestor and never costs votes.
+    every ancestor and never costs votes. Every table, and every prefix
+    of a node's merged children, is held as the bounding box of its
+    reached cells and the (votes, cost) of the box's corner. A merge's
+    box is the sum of its operands' boxes; a node's table is built in
+    the box of the cells its options reach, and a leaf's has one cell
+    per distinct option.
 
     Children are merged in ascending id order by max-plus convolution,
     then the node's stooge options are applied. The forward pass keeps
@@ -254,37 +313,45 @@ def tree_dp_min_stooges(tree, theta=0.5):
     index wins, then the child cell first in row-major order. root_table
     is a dict {(votes, cost): x} over the root's reached cells.
 
-    Memory is O(voters x total cost) per table, so large integer costs
-    widen every table along the cost axis.
+    Memory is O(voters x total cost) per table in the worst case, so
+    large integer costs can widen every table along the cost axis. A
+    theta that is not a finite real number raises ValueError.
     """
+    validate_theta(theta)
     tables = {}
+    children = {}
     merged = {}  # u -> prefix tables acc[0..m] of its merged children
     for u in reversed(tree.order):
-        kids, weights = tree.children(u)
-        accs = [np.zeros((1, 1))]
+        kids, weights = children[u] = tree.children(u)
+        if not kids:
+            tables[u] = _leaf_table(tree, u, theta)
+            continue
+        accs = [_EMPTY]
         for c, w in zip(kids, weights):
             accs.append(_merge(accs[-1], tables[c], w))
         merged[u] = accs
-        tables[u] = _node_table(tree, u, accs[-1], not kids, theta)
+        tables[u] = _node_table(tree, u, accs[-1], theta)
 
     root = tables[tree.root]
-    j, k = np.nonzero(np.isfinite(root))
-    root_table = dict(zip(zip(j.tolist(), k.tolist()), root[j, k].tolist()))
+    j, k = np.nonzero(np.isfinite(root.x))
+    root_table = dict(zip(zip((j + root.j).tolist(), (k + root.k).tolist()),
+                          root.x[j, k].tolist()))
 
     need = int(tree.voting.sum()) // 2 + 1
-    majority = np.isfinite(root[need:])
+    first = max(need - root.j, 0)
+    majority = np.isfinite(root.x[first:])
     costs = np.flatnonzero(majority.any(axis=0))
     if not len(costs):
         return TreeDPResult(False, root_table=root_table)
-    best_k = int(costs[0])
-    best_j = need + int(np.argmax(majority[:, best_k]))
+    best_k = root.k + int(costs[0])
+    best_j = root.j + first + int(np.argmax(majority[:, costs[0]]))
 
     assignment = {}
     stack = [(tree.root, best_j, best_k)]
     while stack:
         u, j, k = stack.pop()
-        kids, weights = tree.children(u)
-        accs = merged[u]
+        kids, weights = children[u]
+        accs = merged.get(u, [_EMPTY])
         case, J, K = _winning_option(tree, u, accs[-1], not kids, theta,
                                      tables[u], j, k)
         label = _node_cases(tree, u)[case][0]
@@ -292,8 +359,9 @@ def tree_dp_min_stooges(tree, theta=0.5):
             assignment[u] = label
         for i in range(len(kids), 0, -1):
             c = kids[i - 1]
+            acc = accs[i]
             a, b = _winning_pair(accs[i - 1], tables[c], weights[i - 1],
-                                 J, K, accs[i][J, K])
+                                 J, K, acc.x[J - acc.j, K - acc.k])
             stack.append((c, a, b))
             J, K = J - a, K - b
     return TreeDPResult(True, best_k, assignment, root_table)
@@ -323,8 +391,10 @@ def brute_force_min_stooges(tree, theta=0.5):
 
     Every per-node choice combination (keep / each stooge option) is
     enumerated, realized on copies of (alpha, s), and evaluated with the
-    batched bottom-up pass; no DP machinery is reused.
+    batched bottom-up pass; no DP machinery is reused. A theta that is
+    not a finite real number raises ValueError.
     """
+    validate_theta(theta)
     n = tree.node_count
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(

@@ -316,9 +316,11 @@ class TestTreeDP:
             assert_matches_dict_dp(tree, theta=0.5)
 
     def test_matches_dict_dp_on_relabelled_org_charts(self):
-        for draw in range(16):
-            tree = TreeInstance(relabelled_org_chart(0, draw, 60),
-                                mode=MODES[draw % 3])
+        cases = [(draw, 60, MODES[draw % 3]) for draw in range(16)]
+        # draw 0 at the benchmark's size, in every mode
+        cases += [(0, 120, mode) for mode in MODES]
+        for draw, n, mode in cases:
+            tree = TreeInstance(relabelled_org_chart(0, draw, n), mode=mode)
             assert_matches_dict_dp(tree, theta=0.5)
 
     def test_tie_goes_to_first_child_cell_in_row_major_order(self):
@@ -363,6 +365,15 @@ class TestTreeDP:
                 res = tree_dp_min_stooges(tree)
             assert (0, 0) not in res.root_table
             assert_matches_dict_dp(tree, theta=0.5)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"),
+                                       -float("inf"), True, "0.5"])
+    def test_theta_must_be_finite_and_real(self, theta):
+        tree = tree_instance([(0, 1)], [0.5, 0.5], [0.4, 0.6], mode="both")
+        for solve in (tree_dp_min_stooges, brute_force_min_stooges):
+            with pytest.raises(ValueError,
+                               match="theta must be finite and real"):
+                solve(tree, theta=theta)
 
     def test_theta_parameter_respected(self):
         tree = tree_instance([(0, 1)], [0.5, 0.5], [0.1, 0.35])
